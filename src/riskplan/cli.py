@@ -116,7 +116,10 @@ def _cmd_fit_power(args) -> int:
 
 def _cmd_sweep(args) -> int:
     scn = load_scenario(args.scenario)
-    spec = json.loads(Path(args.spec).read_text())
+    try:
+        spec = json.loads(Path(args.spec).read_text())
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"--spec {args.spec}: {exc}") from exc
     out_dir = Path(args.out) if args.out else Path("out") / f"{scn.name}-sweep"
     rows = sweep(scn, spec, out_dir=out_dir, replan=args.replan)
     print(f"swept {len(rows)} points -> {out_dir / 'sweep.csv'}")

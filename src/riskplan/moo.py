@@ -2,9 +2,13 @@
 
 The design vector fixes start and goal (positions and speeds) and exposes
 [w_0, then per interior control point: x, y, z, speed, w, then w_n].
-Candidates decode to a clamped 4D NURBS, get sampled, and are scored by the
-cost module. Constraint handling is the feasibility-first dominance rule:
-feasible beats infeasible, infeasible compare on total violation.
+``_layout_views`` is the only code that knows this layout, and
+``_control_net`` turns decisions into control nets for both ``decode`` and
+the batch path. A population is sampled by ``nurbs.rational_blend`` at the
+context's precomputed basis rows, the same evaluator ``nurbs.sample_uniform``
+uses, so a decoded member samples to exactly the points that were scored.
+Constraint handling is the feasibility-first dominance rule: feasible beats
+infeasible, infeasible compare on total violation.
 
 The generational loop works on plain arrays for speed; dataclass wrappers
 are built only for results crossing the module boundary.
@@ -22,7 +26,7 @@ from . import costs as costs_mod
 from .costs import ConstraintReport, CostVector
 from .environment import Environment, SafetyParams
 from .errors import DecodeError, ValidationError
-from .nurbs import NurbsCurve4D, basis_matrix, make_clamped_uniform_knots
+from .nurbs import NurbsCurve4D, basis_matrix, make_clamped_uniform_knots, rational_blend
 from .power import PowerQuadricModel
 
 log = logging.getLogger(__name__)
@@ -46,21 +50,23 @@ def interior_count(arity: int) -> int:
     return n
 
 
+def _layout_views(decisions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Views of decision vectors (..., 5k+2), writable when ``decisions`` is
+    contiguous: the end weights (w_0, w_n) as (..., 2) and one
+    (x, y, z, speed, w) row per interior control point as (..., k, 5)."""
+    arity = decisions.shape[-1]
+    n_interior = interior_count(arity)
+    rows = decisions[..., 1:-1].reshape(*decisions.shape[:-1], n_interior, 5)
+    return decisions[..., :: arity - 1], rows
+
+
 def decision_layout(n_interior: int) -> dict:
     """Index arrays for the three variable kinds in the flat layout."""
-    pos_idx = []
-    speed_idx = []
-    weight_idx = [0]
-    for i in range(n_interior):
-        base = 1 + 5 * i
-        pos_idx.extend([base, base + 1, base + 2])
-        speed_idx.append(base + 3)
-        weight_idx.append(base + 4)
-    weight_idx.append(5 * n_interior + 1)
+    ends, rows = _layout_views(np.arange(decision_arity(n_interior)))
     return {
-        "position": np.array(pos_idx, dtype=int),
-        "speed": np.array(speed_idx, dtype=int),
-        "weight": np.array(weight_idx, dtype=int),
+        "position": rows[:, :3].ravel(),
+        "speed": rows[:, 3],
+        "weight": np.concatenate([ends[:1], rows[:, 4], ends[1:]]),
     }
 
 
@@ -111,35 +117,38 @@ def decode(
 ) -> NurbsCurve4D:
     """Decision vector to curve: fixed endpoints plus interior entries."""
     decision = np.asarray(decision, dtype=float)
-    n_interior = interior_count(len(decision))
-    n_ctrl = n_interior + 2
+    ctrl, weights = _control_net(decision[None, :], start, goal, v_start, v_goal)
+    n_ctrl = ctrl.shape[1]
     if n_ctrl < degree + 1:
         raise DecodeError(
             f"{n_ctrl} control points cannot support degree {degree} (need >= {degree + 1})"
         )
-    ctrl = np.empty((n_ctrl, 4))
-    weights = np.empty(n_ctrl)
-    ctrl[0, :3] = np.asarray(start, dtype=float)
-    ctrl[0, 3] = v_start
-    ctrl[-1, :3] = np.asarray(goal, dtype=float)
-    ctrl[-1, 3] = v_goal
-    weights[0] = decision[0]
-    weights[-1] = decision[-1]
-    interior = decision[1:-1].reshape(n_interior, 5)
-    ctrl[1:-1, :] = interior[:, :4]
-    weights[1:-1] = interior[:, 4]
     knots = make_clamped_uniform_knots(n_ctrl, degree)
-    return NurbsCurve4D(control_points=ctrl, weights=weights, degree=degree, knots=knots)
+    return NurbsCurve4D(control_points=ctrl[0], weights=weights[0], degree=degree, knots=knots)
+
+
+def _control_net(
+    decisions: np.ndarray, start, goal, v_start: float, v_goal: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Control points (N, k+2, 4) and weights (N, k+2) of decisions
+    (N, 5k+2): the fixed endpoints plus the interior entries."""
+    ends, rows = _layout_views(decisions)
+    ctrl = np.empty((len(decisions), rows.shape[1] + 2, 4))
+    ctrl[:, 0, :3] = start
+    ctrl[:, 0, 3] = v_start
+    ctrl[:, -1, :3] = goal
+    ctrl[:, -1, 3] = v_goal
+    ctrl[:, 1:-1] = rows[:, :, :4]
+    weights = np.concatenate([ends[:, :1], rows[:, :, 4], ends[:, 1:]], axis=1)
+    return ctrl, weights
 
 
 def encode(curve: NurbsCurve4D) -> np.ndarray:
     """Inverse of decode for the free entries (endpoints are dropped)."""
-    n_interior = len(curve.control_points) - 2
-    decision = np.empty(decision_arity(n_interior))
-    decision[0] = curve.weights[0]
-    decision[-1] = curve.weights[-1]
-    block = np.column_stack([curve.control_points[1:-1], curve.weights[1:-1]])
-    decision[1:-1] = block.reshape(-1)
+    decision = np.empty(decision_arity(len(curve.control_points) - 2))
+    ends, rows = _layout_views(decision)
+    ends[:] = curve.weights[[0, -1]]
+    rows[:] = np.column_stack([curve.control_points[1:-1], curve.weights[1:-1]])
     return decision
 
 
@@ -244,27 +253,8 @@ def make_context(
 
 def _decode_batch(decisions: np.ndarray, ctx: EvaluationContext) -> tuple[np.ndarray, np.ndarray]:
     """Sampled positions (N, Q, 3) and speeds (N, Q) for a population."""
-    n = len(decisions)
-    n_interior = ctx.bounds.n_interior
-    n_ctrl = n_interior + 2
-    ctrl = np.empty((n, n_ctrl, 4))
-    weights = np.empty((n, n_ctrl))
-    ctrl[:, 0, :3] = ctx.start
-    ctrl[:, 0, 3] = ctx.v_start
-    ctrl[:, -1, :3] = ctx.goal
-    ctrl[:, -1, 3] = ctx.v_goal
-    weights[:, 0] = decisions[:, 0]
-    weights[:, -1] = decisions[:, -1]
-    interior = decisions[:, 1:-1].reshape(n, n_interior, 5)
-    ctrl[:, 1:-1, :] = interior[:, :, :4]
-    weights[:, 1:-1] = interior[:, :, 4]
-
-    den = np.einsum("qc,nc->nq", ctx.basis, weights)
-    num = np.einsum("qc,nc,ncd->nqd", ctx.basis, weights, ctrl)
-    points = num / den[:, :, None]
-    # Clamped ends interpolate the fixed control points; pin them exactly.
-    points[:, 0, :] = ctrl[:, 0, :]
-    points[:, -1, :] = ctrl[:, -1, :]
+    ctrl, weights = _control_net(decisions, ctx.start, ctx.goal, ctx.v_start, ctx.v_goal)
+    points = rational_blend(ctx.basis, weights, ctrl)
     return points[:, :, :3], points[:, :, 3]
 
 
@@ -616,8 +606,6 @@ def run_nsga2(
 
     def batch(decisions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         cost_arr, viol = evaluate_batch(decisions, ctx)
-        batch.last_costs = cost_arr
-        batch.last_viol = viol
         return cost_arr[:, cols], viol.sum(axis=1)
 
     pop, objs_sub, viol_total = nsga2_minimize(

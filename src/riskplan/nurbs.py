@@ -1,8 +1,12 @@
 """Rational B-spline curves over (x, y, z, speed-norm).
 
 Basis evaluation follows the classic knot-span recurrence (The NURBS Book,
-algorithms A2.1 and A2.2). Curves are immutable values and evaluation is
-pure, so sampling can run concurrently.
+algorithms A2.1 and A2.2). Curves have one evaluator: a dense basis matrix
+for the sample parameters times the weighted control net
+(``rational_blend``). ``sample_uniform`` and the optimizer's batch decode
+both call it, so an emitted sample set is bit-identical to the one the
+optimizer scored. Curves are immutable values and evaluation is pure, so
+sampling can run concurrently.
 """
 
 from __future__ import annotations
@@ -129,26 +133,22 @@ class NurbsCurve4D:
     def param_range(self) -> tuple[float, float]:
         return float(self.knots[self.degree]), float(self.knots[-self.degree - 1])
 
-    def evaluate(self, u: float) -> np.ndarray:
-        return evaluate(self, u)
 
+def rational_blend(basis: np.ndarray, weights: np.ndarray, control_points: np.ndarray) -> np.ndarray:
+    """Points (N, Q, D) of N curves sharing one knot vector.
 
-def evaluate(curve: NurbsCurve4D, u: float) -> np.ndarray:
-    """Point on the curve: weighted basis blend of the control points.
-
-    Clamped end parameters return the end control points exactly.
+    ``basis`` (Q, C) holds the basis rows of the Q parameters, ``weights``
+    (N, C) and ``control_points`` (N, C, D) the control nets. Each point is
+    sum_i N_i w_i P_i / sum_i N_i w_i. The first and last rows must be the
+    ends of the parameter range: clamped ends interpolate the end control
+    points, which are copied exactly.
     """
-    lo, hi = curve.param_range
-    if u < lo or u > hi:
-        raise ParameterRangeError(f"parameter {u} outside curve range [{lo}, {hi}]")
-    if u == lo:
-        return curve.control_points[0].copy()
-    if u == hi:
-        return curve.control_points[-1].copy()
-    values, span = basis_functions(curve.knots, curve.degree, u)
-    idx = slice(span - curve.degree, span + 1)
-    bw = values * curve.weights[idx]
-    return (bw @ curve.control_points[idx]) / bw.sum()
+    den = np.einsum("qc,nc->nq", basis, weights)
+    num = np.einsum("qc,nc,ncd->nqd", basis, weights, control_points)
+    points = num / den[:, :, None]
+    points[:, 0, :] = control_points[:, 0, :]
+    points[:, -1, :] = control_points[:, -1, :]
+    return points
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,8 @@ def sample_uniform(curve: NurbsCurve4D, n_samples: int) -> TrajectorySamples:
         raise ValidationError("n_samples must be >= 2")
     lo, hi = curve.param_range
     params = np.linspace(lo, hi, n_samples)
-    points = np.array([evaluate(curve, u) for u in params])
+    basis = basis_matrix(curve.knots, curve.degree, params)
+    points = rational_blend(basis, curve.weights[None], curve.control_points[None])[0]
     positions = points[:, :3]
     speeds = points[:, 3]
     segment_lengths = np.linalg.norm(np.diff(positions, axis=0), axis=1)

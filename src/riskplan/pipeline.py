@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time as time_mod
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -39,8 +39,8 @@ from .power import (
     power_for_directions,
 )
 from .scenario import Scenario
-from .seeding import SeedingParams, build_feasible_seed, initial_population
-from .voting import RiskState, VoteWeights, adjust_coefficients, vote
+from .seeding import SeedingParams, SeedResult, build_feasible_seed, initial_population
+from .voting import VoteWeights, adjust_coefficients, vote
 from .environment import SafetyParams
 
 CONSTRAINT_EMIT_TOL = 1e-9
@@ -92,11 +92,7 @@ def trajectory_powers(samples: TrajectorySamples, model: PowerQuadricModel) -> n
 
     The first sample reuses the first segment's direction.
     """
-    deltas = np.diff(samples.positions, axis=0)
-    lengths = samples.segment_lengths
-    dirs = np.zeros_like(deltas)
-    nonzero = lengths > 1e-12
-    np.divide(deltas, lengths[:, None], out=dirs, where=nonzero[:, None])
+    dirs, _ = costs_mod._segment_directions(samples.positions, samples.segment_lengths)
     powers, valid = power_for_directions(model, dirs)
     powers = np.where(valid, powers, model.hover_power)
     return np.concatenate([[powers[0]], powers])
@@ -111,6 +107,50 @@ def trajectory_metrics(samples: TrajectorySamples, env: Environment, v_floor: fl
         "mean_obstacle_distance_m": float(np.mean(clearance)),
         "min_obstacle_distance_m": float(np.min(clearance)),
     }
+
+
+def _prepare_run(
+    scn: Scenario,
+    env: Environment,
+    power_model: PowerQuadricModel,
+    objectives: tuple = OBJECTIVE_NAMES,
+) -> tuple[SeedResult, EvaluationContext, np.ndarray, MooParams]:
+    """Seed, evaluation context, initial population and optimizer settings
+    for one run of ``scn``.
+
+    The RNG streams are ``rng_seed`` for the RRT seed, ``rng_seed + 1`` for
+    the population noise and ``rng_seed + 2`` for NSGA-II.
+    """
+    h = scn.hyper
+    seeding_params = SeedingParams(
+        delta_rope=h.delta_rope,
+        sigma_pos=h.sigma_pos,
+        sigma_speed=h.resolved_sigma_speed(),
+        rrt_step=h.rrt_step,
+        rrt_max_iters=h.rrt_max_iters,
+        rng_seed=scn.rng_seed,
+    )
+    seed = build_feasible_seed(
+        env, scn.start, scn.goal, scn.v_start, scn.v_goal, h.resolved_v_cruise(),
+        h.degree, h.n_nurbs, h.a_max, h.r_uav, seeding_params, v_floor=h.v_floor,
+    )
+    ctx = make_context(
+        env=env, power=power_model, safety=_safety_params(scn),
+        start=scn.start, goal=scn.goal, v_start=scn.v_start, v_goal=scn.v_goal,
+        degree=h.degree, n_samples=h.n_nurbs, a_max=h.a_max,
+        n_interior=interior_count(len(seed.decision)), v_floor=h.v_floor,
+        weight_bounds=(h.weight_min, h.weight_max), objectives=objectives,
+    )
+    population = initial_population(
+        seed.decision, h.n_pop, ctx.bounds, replace(seeding_params, rng_seed=scn.rng_seed + 1)
+    )
+    moo_params = MooParams(
+        n_gen=h.n_gen, pop_size=h.n_pop,
+        crossover_rate=h.crossover_rate, eta_crossover=h.eta_crossover,
+        mutation_rate=h.mutation_rate, eta_mutation=h.eta_mutation,
+        rng_seed=scn.rng_seed + 2,
+    )
+    return seed, ctx, population, moo_params
 
 
 def plan(
@@ -138,71 +178,11 @@ def plan(
     timings["power_fit_s"] = time_mod.perf_counter() - t1
 
     t2 = time_mod.perf_counter()
-    seeding_params = SeedingParams(
-        delta_rope=h.delta_rope,
-        sigma_pos=h.sigma_pos,
-        sigma_speed=h.resolved_sigma_speed(),
-        rrt_step=h.rrt_step,
-        rrt_max_iters=h.rrt_max_iters,
-        rng_seed=scn.rng_seed,
-    )
-    seed = build_feasible_seed(
-        env,
-        scn.start,
-        scn.goal,
-        scn.v_start,
-        scn.v_goal,
-        h.resolved_v_cruise(),
-        h.degree,
-        h.n_nurbs,
-        h.a_max,
-        h.r_uav,
-        seeding_params,
-        v_floor=h.v_floor,
-    )
+    seed, ctx, population, moo_params = _prepare_run(scn, env, power_model)
     timings["seeding_s"] = time_mod.perf_counter() - t2
-
-    ctx = make_context(
-        env=env,
-        power=power_model,
-        safety=_safety_params(scn),
-        start=scn.start,
-        goal=scn.goal,
-        v_start=scn.v_start,
-        v_goal=scn.v_goal,
-        degree=h.degree,
-        n_samples=h.n_nurbs,
-        a_max=h.a_max,
-        n_interior=interior_count(len(seed.decision)),
-        v_floor=h.v_floor,
-        weight_bounds=(h.weight_min, h.weight_max),
-    )
-
-    population = initial_population(
-        seed.decision,
-        h.n_pop,
-        ctx.bounds,
-        SeedingParams(
-            delta_rope=seed.delta_rope_used,
-            sigma_pos=h.sigma_pos,
-            sigma_speed=h.resolved_sigma_speed(),
-            rrt_step=h.rrt_step,
-            rrt_max_iters=h.rrt_max_iters,
-            rng_seed=scn.rng_seed + 1,
-        ),
-    )
 
     t3 = time_mod.perf_counter()
     generation_log = []
-    moo_params = MooParams(
-        n_gen=h.n_gen,
-        pop_size=h.n_pop,
-        crossover_rate=h.crossover_rate,
-        eta_crossover=h.eta_crossover,
-        mutation_rate=h.mutation_rate,
-        eta_mutation=h.eta_mutation,
-        rng_seed=scn.rng_seed + 2,
-    )
     front = run_nsga2(ctx, population, moo_params, progress_sink=generation_log.append)
     timings["optimization_s"] = time_mod.perf_counter() - t3
     if not front:
@@ -339,26 +319,33 @@ def write_result(result: PlanResult, scn: Scenario, out_dir: Path) -> dict:
 
 
 def load_front(path) -> tuple[list, dict]:
-    """Reload a pareto.json into EvaluatedIndividuals plus its context block."""
+    """Reload a pareto.json into EvaluatedIndividuals plus its context block.
+
+    A missing or unreadable file, invalid JSON, or a missing ``front`` or
+    member field raises ValidationError.
+    """
     from .costs import ConstraintReport, CostVector
 
-    data = json.loads(Path(path).read_text())
-    front = []
-    for entry in data["front"]:
-        front.append(
-            EvaluatedIndividual(
-                decision=np.asarray(entry["decision"], dtype=float),
-                costs=CostVector(
-                    time_s=entry["costs"]["time_s"],
-                    safety=entry["costs"]["safety"],
-                    energy_j=entry["costs"]["energy_j"],
-                ),
-                constraints=ConstraintReport(
-                    max_accel_violation=entry["constraints"]["max_accel_violation"],
-                    collision_violation=entry["constraints"]["collision_violation"],
-                ),
+    try:
+        data = json.loads(Path(path).read_text())
+        front = []
+        for entry in data["front"]:
+            front.append(
+                EvaluatedIndividual(
+                    decision=np.asarray(entry["decision"], dtype=float),
+                    costs=CostVector(
+                        time_s=entry["costs"]["time_s"],
+                        safety=entry["costs"]["safety"],
+                        energy_j=entry["costs"]["energy_j"],
+                    ),
+                    constraints=ConstraintReport(
+                        max_accel_violation=entry["constraints"]["max_accel_violation"],
+                        collision_violation=entry["constraints"]["collision_violation"],
+                    ),
+                )
             )
-        )
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(f"{path}: not a readable Pareto front ({exc!r})") from exc
     return front, data.get("context", {})
 
 
@@ -367,9 +354,9 @@ def load_front(path) -> tuple[list, dict]:
 
 def _simplex_grid(spacing: float) -> list[tuple[float, float, float]]:
     """Lattice of (k_time, k_safety, k_energy) triples summing to 1."""
-    m = round(1.0 / spacing)
-    if abs(m * spacing - 1.0) > 1e-9:
-        raise ValidationError(f"spacing {spacing} must divide 1 evenly")
+    m = round(1.0 / spacing) if spacing > 0 else 0
+    if m < 1 or abs(m * spacing - 1.0) > 1e-9:
+        raise ValidationError(f"sweep.spacing: {spacing} must be > 0 and divide 1 evenly")
     grid = []
     for i in range(m + 1):
         for j in range(m + 1 - i):
@@ -378,13 +365,12 @@ def _simplex_grid(spacing: float) -> list[tuple[float, float, float]]:
     return grid
 
 
-def _selected_row(scn: Scenario, result_front, env, index: int, v_floor: float) -> dict:
-    ind = result_front[index]
+def _member_metrics(scn: Scenario, ind: EvaluatedIndividual, env: Environment) -> dict:
+    """Time and energy cost plus ``trajectory_metrics`` of one front member."""
     curve = decode(ind.decision, scn.start, scn.goal, scn.v_start, scn.v_goal, scn.hyper.degree)
     samples = sample_uniform(curve, scn.hyper.n_nurbs)
-    row = {"selected_index": index, "time_s": ind.costs.time_s, "energy_j": ind.costs.energy_j}
-    row.update(trajectory_metrics(samples, env, v_floor))
-    return row
+    metrics = trajectory_metrics(samples, env, scn.hyper.v_floor)
+    return {"time_s": ind.costs.time_s, "energy_j": ind.costs.energy_j, **metrics}
 
 
 def sweep(
@@ -396,19 +382,12 @@ def sweep(
     """Vote-coefficient or single-risk-axis sweep.
 
     Risk sweeps re-vote on one cached Pareto front (risks only enter at
-    voting); ``replan`` forces a full replan per grid point instead.
+    voting); ``replan`` forces a full replan per grid point instead. The
+    spec is validated before anything is planned.
     """
     kind = sweep_spec.get("kind")
     if kind not in ("risk", "coefficients"):
         raise ValidationError(f"sweep.kind: must be 'risk' or 'coefficients', got {kind!r}")
-
-    env = build_scenario_environment(scn)
-    power_model = fit_quadric(load_power_samples(scn.power_calibration))
-    base = None
-    if not (kind == "risk" and replan):
-        base = plan(scn, env=env, power_model=power_model)
-
-    rows = []
     if kind == "risk":
         axis = sweep_spec.get("axis")
         if axis not in ("wind", "communication", "localization", "battery"):
@@ -416,23 +395,24 @@ def sweep(
         start = float(sweep_spec.get("start", 0.0))
         stop = float(sweep_spec.get("stop", 1.0))
         step = float(sweep_spec.get("step", 0.1))
-        if step <= 0 or stop < start:
+        if not (step > 0 and stop >= start):
             raise ValidationError("sweep.start/stop/step: need step > 0 and stop >= start")
         n_points = int(round((stop - start) / step)) + 1
-        values = [start + i * step for i in range(n_points)]
-        for value in values:
-            risk_kwargs = {
-                "wind": scn.risks.wind,
-                "communication": scn.risks.communication,
-                "localization": scn.risks.localization,
-                "battery": scn.risks.battery,
-            }
-            risk_kwargs[axis] = value
-            risks = RiskState(**risk_kwargs)
-            if replan:
-                from dataclasses import replace as dc_replace
+        risk_points = [replace(scn.risks, **{axis: start + i * step}) for i in range(n_points)]
+    else:
+        if replan:
+            raise ValidationError("sweep: replan applies to risk sweeps only")
+        grid = _simplex_grid(float(sweep_spec.get("spacing", 0.1)))
 
-                point_result = plan(dc_replace(scn, risks=risks), env=env, power_model=power_model)
+    env = build_scenario_environment(scn)
+    power_model = fit_quadric(load_power_samples(scn.power_calibration))
+    base = None if replan else plan(scn, env=env, power_model=power_model)
+
+    rows = []
+    if kind == "risk":
+        for risks in risk_points:
+            if replan:
+                point_result = plan(replace(scn, risks=risks), env=env, power_model=power_model)
                 front = point_result.front
                 weights = point_result.weights
                 index = point_result.selected_index
@@ -440,13 +420,12 @@ def sweep(
                 front = base.front
                 weights = adjust_coefficients(risks)
                 index = vote(front, weights)
-            row = {"axis": axis, "value": value, "k_time": weights.k_time,
+            row = {"axis": axis, "value": getattr(risks, axis), "k_time": weights.k_time,
                    "k_safety": weights.k_safety, "k_energy": weights.k_energy}
-            row.update(_selected_row(scn, front, env, index, scn.hyper.v_floor))
+            row.update(selected_index=index, **_member_metrics(scn, front[index], env))
             rows.append(row)
     else:
-        spacing = float(sweep_spec.get("spacing", 0.1))
-        for k_time, k_safety, k_energy in _simplex_grid(spacing):
+        for k_time, k_safety, k_energy in grid:
             weights = VoteWeights(
                 k_time=k_time,
                 k_safety=k_safety,
@@ -458,7 +437,7 @@ def sweep(
             )
             index = vote(base.front, weights)
             row = {"k_time": k_time, "k_safety": k_safety, "k_energy": k_energy}
-            row.update(_selected_row(scn, base.front, env, index, scn.hyper.v_floor))
+            row.update(selected_index=index, **_member_metrics(scn, base.front[index], env))
             rows.append(row)
 
     if out_dir is not None:
@@ -507,52 +486,14 @@ def benchmark_single_objective(
     h = scn.hyper
     pop_size = pop_size or h.n_pop
 
-    from dataclasses import replace as dc_replace
-
     best = None
     best_value = np.inf
     col = OBJECTIVE_NAMES.index(objective)
     for run in range(n_runs):
-        run_scn = dc_replace(
-            scn,
-            rng_seed=base_seed + run,
-            hyper=dc_replace(h, n_gen=n_gen, n_pop=pop_size),
+        run_scn = replace(
+            scn, rng_seed=base_seed + run, hyper=replace(h, n_gen=n_gen, n_pop=pop_size)
         )
-        seeding_params = SeedingParams(
-            delta_rope=h.delta_rope,
-            sigma_pos=h.sigma_pos,
-            sigma_speed=h.resolved_sigma_speed(),
-            rrt_step=h.rrt_step,
-            rrt_max_iters=h.rrt_max_iters,
-            rng_seed=run_scn.rng_seed,
-        )
-        seed = build_feasible_seed(
-            env, scn.start, scn.goal, scn.v_start, scn.v_goal,
-            h.resolved_v_cruise(), h.degree, h.n_nurbs, h.a_max, h.r_uav,
-            seeding_params, v_floor=h.v_floor,
-        )
-        ctx = make_context(
-            env=env, power=power_model, safety=_safety_params(scn),
-            start=scn.start, goal=scn.goal, v_start=scn.v_start, v_goal=scn.v_goal,
-            degree=h.degree, n_samples=h.n_nurbs, a_max=h.a_max,
-            n_interior=interior_count(len(seed.decision)), v_floor=h.v_floor,
-            weight_bounds=(h.weight_min, h.weight_max),
-            objectives=(objective,),
-        )
-        population = initial_population(
-            seed.decision, pop_size, ctx.bounds,
-            SeedingParams(
-                delta_rope=seed.delta_rope_used, sigma_pos=h.sigma_pos,
-                sigma_speed=h.resolved_sigma_speed(), rrt_step=h.rrt_step,
-                rrt_max_iters=h.rrt_max_iters, rng_seed=run_scn.rng_seed + 1,
-            ),
-        )
-        params = MooParams(
-            n_gen=n_gen, pop_size=pop_size,
-            crossover_rate=h.crossover_rate, eta_crossover=h.eta_crossover,
-            mutation_rate=h.mutation_rate, eta_mutation=h.eta_mutation,
-            rng_seed=run_scn.rng_seed + 2,
-        )
+        _, ctx, population, params = _prepare_run(run_scn, env, power_model, (objective,))
         front = run_nsga2(ctx, population, params)
         for ind in front:
             value = ind.costs.as_array()[col]
@@ -562,14 +503,10 @@ def benchmark_single_objective(
 
     if best is None:
         raise ValidationError(f"no feasible benchmark trajectory found for {objective}")
-    curve = decode(best.decision, scn.start, scn.goal, scn.v_start, scn.v_goal, h.degree)
-    samples = sample_uniform(curve, h.n_nurbs)
-    metrics = trajectory_metrics(samples, env, h.v_floor)
+    metrics = _member_metrics(scn, best, env)
     metrics["objective"] = objective
     metrics["best_value"] = float(best_value)
-    metrics["time_s"] = best.costs.time_s
     metrics["safety"] = best.costs.safety
-    metrics["energy_j"] = best.costs.energy_j
     return metrics
 
 

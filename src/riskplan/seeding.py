@@ -16,7 +16,7 @@ import numpy as np
 from . import costs as costs_mod
 from .environment import Environment
 from .errors import PlanningFailureError, ValidationError
-from .moo import Bounds, decision_arity, decision_layout, decode
+from .moo import Bounds, _layout_views, decision_arity, decision_layout, decode
 from .nurbs import sample_uniform
 
 
@@ -206,15 +206,10 @@ def polyline_to_decision_vector(polyline: np.ndarray, v_cruise: float, degree: i
         seg = [np.linalg.norm(pts[i + 1] - pts[i]) for i in range(len(pts) - 1)]
         k = int(np.argmax(seg))
         pts.insert(k + 1, (pts[k] + pts[k + 1]) / 2.0)
-    n_interior = len(pts) - 2
-    decision = np.empty(decision_arity(n_interior))
-    decision[0] = 1.0
-    decision[-1] = 1.0
-    for i, p in enumerate(pts[1:-1]):
-        base = 1 + 5 * i
-        decision[base : base + 3] = p
-        decision[base + 3] = v_cruise
-        decision[base + 4] = 1.0
+    decision = np.ones(decision_arity(len(pts) - 2))
+    _, rows = _layout_views(decision)
+    rows[:, :3] = np.reshape(pts[1:-1], (-1, 3))
+    rows[:, 3] = v_cruise
     return decision
 
 

@@ -5,8 +5,19 @@ import json
 import numpy as np
 import pytest
 
+import riskplan.pipeline as pipeline_mod
 from conftest import corridor_scenario_dict, write_power_csv
 from riskplan.cli import main
+
+
+@pytest.fixture
+def no_planning(monkeypatch):
+    """Fails the test if anything gets planned."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("planned before the input was validated")
+
+    monkeypatch.setattr(pipeline_mod, "plan", refuse)
 
 
 @pytest.fixture
@@ -71,6 +82,17 @@ class TestVoteCommand:
         assert main(["plan", str(scenario_file), "--out", str(out)]) == 0
         assert main(["vote", str(out / "pareto.json"), "--risks", "1,2"]) == 2
 
+    @pytest.mark.parametrize(
+        "content", [None, "not json {", json.dumps({"selected_index": 0}), json.dumps([1, 2])],
+        ids=["missing", "not-json", "no-front", "not-an-object"],
+    )
+    def test_unreadable_front_exit_code(self, tmp_path, capsys, content):
+        path = tmp_path / "pareto.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["vote", str(path), "--risks", "0,0,0,0"]) == 2
+        assert "validation error" in capsys.readouterr().err
+
 
 class TestFitPowerCommand:
     def test_fit_power_outputs(self, tmp_path, capsys):
@@ -110,6 +132,29 @@ class TestSweepCommand:
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"kind": "banana"}))
         assert main(["sweep", str(scenario_file), "--spec", str(spec)]) == 2
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"kind": "coefficients", "spacing": 0},
+            {"kind": "coefficients", "spacing": -0.1},
+            {"kind": "coefficients", "spacing": 0.3},
+            {"kind": "risk", "axis": "wind", "stop": 2.0, "step": 0.5},
+        ],
+        ids=["zero-spacing", "negative-spacing", "uneven-spacing", "risk-above-1"],
+    )
+    def test_bad_spec_rejected_before_planning(self, scenario_file, tmp_path, no_planning, bad):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(bad))
+        assert main(["sweep", str(scenario_file), "--spec", str(spec)]) == 2
+
+    def test_replan_on_coefficient_sweep_rejected(self, scenario_file, tmp_path, no_planning):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "coefficients", "spacing": 0.5}))
+        assert main(["sweep", str(scenario_file), "--spec", str(spec), "--replan"]) == 2
+
+    def test_missing_spec_exit_code(self, scenario_file, tmp_path, no_planning):
+        assert main(["sweep", str(scenario_file), "--spec", str(tmp_path / "none.json")]) == 2
 
 
 class TestSdfDumpCommand:

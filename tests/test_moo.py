@@ -26,6 +26,7 @@ from riskplan.moo import (
     run_nsga2,
     sbx_crossover,
 )
+from riskplan.nurbs import sample_uniform
 from riskplan.pipeline import plan
 from riskplan.seeding import SeedingParams, initial_population
 
@@ -87,9 +88,9 @@ class TestDecisionVector:
         curve = decode(z, self.START, self.GOAL, 1.0, 0.5, 3)
         assert curve.control_points[0] == pytest.approx([0, 0, 0, 1.0])
         assert curve.control_points[-1] == pytest.approx([10, 0, 0, 0.5])
-        lo, hi = curve.param_range
-        assert curve.evaluate(lo)[:3] == pytest.approx(self.START)
-        assert curve.evaluate(hi)[:3] == pytest.approx(self.GOAL)
+        samples = sample_uniform(curve, 11)
+        assert samples.positions[0] == pytest.approx(self.START)
+        assert samples.positions[-1] == pytest.approx(self.GOAL)
 
     def test_endpoint_weight_changes_shape_not_endpoint(self):
         rng = np.random.default_rng(3)
@@ -98,9 +99,11 @@ class TestDecisionVector:
         z2[0] *= 3.0
         c1 = decode(z, self.START, self.GOAL, 1.0, 1.0, 3)
         c2 = decode(z2, self.START, self.GOAL, 1.0, 1.0, 3)
-        lo, _ = c1.param_range
-        assert np.array_equal(c1.evaluate(lo), c2.evaluate(lo))
-        assert np.linalg.norm(c1.evaluate(0.1) - c2.evaluate(0.1)) > 1e-9
+        s1, s2 = sample_uniform(c1, 11), sample_uniform(c2, 11)  # parameters k / 10
+        p1 = np.column_stack([s1.positions, s1.speeds])
+        p2 = np.column_stack([s2.positions, s2.speeds])
+        assert np.array_equal(p1[0], p2[0])
+        assert np.linalg.norm(p1[1] - p2[1]) > 1e-9
 
     def test_arity_mismatch(self):
         with pytest.raises(DecodeError):

@@ -10,7 +10,6 @@ from riskplan.nurbs import (
     NurbsCurve4D,
     basis_functions,
     basis_matrix,
-    evaluate,
     find_span,
     make_clamped_uniform_knots,
     sample_uniform,
@@ -23,6 +22,11 @@ def make_curve(ctrl, weights=None, degree=3):
         weights = np.ones(len(ctrl))
     knots = make_clamped_uniform_knots(len(ctrl), degree)
     return NurbsCurve4D(control_points=ctrl, weights=np.asarray(weights, float), degree=degree, knots=knots)
+
+
+def points(samples):
+    """Sampled (x, y, z, speed) rows."""
+    return np.column_stack([samples.positions, samples.speeds])
 
 
 def s_curve():
@@ -89,17 +93,18 @@ class TestKnotConstruction:
 class TestEvaluate:
     def test_endpoint_interpolation_exact(self):
         curve = s_curve()
-        lo, hi = curve.param_range
-        assert np.array_equal(evaluate(curve, lo), curve.control_points[0])
-        assert np.array_equal(evaluate(curve, hi), curve.control_points[-1])
+        sampled = points(sample_uniform(curve, 17))
+        assert np.array_equal(sampled[0], curve.control_points[0])
+        assert np.array_equal(sampled[-1], curve.control_points[-1])
 
     def test_equal_weights_matches_plain_bspline(self):
         # Independent oracle: scipy's BSpline with vector coefficients.
         ctrl = s_curve().control_points
         curve = make_curve(ctrl)  # unit weights
         spline = BSpline(curve.knots, ctrl, curve.degree)
-        for u in np.linspace(0.01, 0.99, 37):
-            assert evaluate(curve, u) == pytest.approx(spline(u), abs=1e-12)
+        samples = sample_uniform(curve, 37)
+        for u, point in zip(samples.param_values, points(samples)):
+            assert point == pytest.approx(spline(u), abs=1e-12)
 
     def test_weight_pull(self):
         base = s_curve()
@@ -111,17 +116,20 @@ class TestEvaluate:
         )
         target = base.control_points[2]
         pulled_somewhere = False
-        for u in np.linspace(0.1, 0.7, 25):  # support of control point 2
-            d_before = np.linalg.norm(evaluate(base, u) - target)
-            d_after = np.linalg.norm(evaluate(heavier, u) - target)
+        before, after = sample_uniform(base, 61), sample_uniform(heavier, 61)
+        inside = (before.param_values >= 0.1) & (before.param_values <= 0.7)  # support of point 2
+        for p_before, p_after in zip(points(before)[inside], points(after)[inside]):
+            d_before = np.linalg.norm(p_before - target)
+            d_after = np.linalg.norm(p_after - target)
             assert d_after <= d_before + 1e-12
             if d_after < d_before - 1e-9:
                 pulled_somewhere = True
         assert pulled_somewhere
 
     def test_out_of_range(self):
+        curve = s_curve()
         with pytest.raises(ParameterRangeError):
-            evaluate(s_curve(), -0.1)
+            basis_matrix(curve.knots, curve.degree, np.array([0.5, -0.1]))
 
     def test_convex_hull_property(self):
         # Every sampled point is a convex combination of the control points
@@ -152,8 +160,9 @@ class TestEvaluate:
             control_points=moved, weights=curve.weights, degree=p, knots=curve.knots
         )
         support = (curve.knots[i], curve.knots[i + p + 1])
-        for u in np.linspace(0, 1, 201):
-            delta = np.linalg.norm(evaluate(perturbed, u) - evaluate(curve, u))
+        original, moved_samples = sample_uniform(curve, 201), sample_uniform(perturbed, 201)
+        deltas = np.linalg.norm(points(moved_samples) - points(original), axis=1)
+        for u, delta in zip(original.param_values, deltas):
             if u <= support[0] or u >= support[1]:
                 assert delta < 1e-12, f"u={u} outside support changed by {delta}"
 

@@ -9,7 +9,7 @@ import pytest
 from conftest import make_corridor_scenario, write_power_csv
 from riskplan.costs import check_constraints
 from riskplan.errors import FitError, ValidationError
-from riskplan.moo import decode, evaluate
+from riskplan.moo import _decode_batch, decode, evaluate
 from riskplan.nurbs import sample_uniform
 from riskplan.pipeline import (
     benchmark_single_objective,
@@ -52,6 +52,22 @@ class TestPlanOutputs:
             assert again.costs.time_s == pytest.approx(stored.costs.time_s, abs=1e-9)
             assert again.costs.safety == pytest.approx(stored.costs.safety, abs=1e-9)
             assert again.costs.energy_j == pytest.approx(stored.costs.energy_j, abs=1e-9)
+
+    def test_emitted_samples_are_the_scored_samples(self, planned):
+        # sample_uniform and the optimizer's batch decode share one
+        # evaluator, so every member re-samples to the exact scored rows.
+        scn, result, _ = planned
+        ctx = result.context
+        decisions = np.array([ind.decision for ind in result.front])
+        positions, speeds = _decode_batch(decisions, ctx)
+        for i, ind in enumerate(result.front):
+            curve = decode(ind.decision, scn.start, scn.goal, scn.v_start, scn.v_goal, ctx.degree)
+            samples = sample_uniform(curve, ctx.n_samples)
+            assert np.array_equal(samples.positions, positions[i])
+            assert np.array_equal(samples.speeds, speeds[i])
+        selected = result.selected_index
+        assert np.array_equal(result.samples.positions, positions[selected])
+        assert np.array_equal(result.samples.speeds, speeds[selected])
 
     def test_emitted_trajectory_satisfies_constraints(self, planned):
         scn, result, _ = planned
