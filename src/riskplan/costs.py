@@ -4,6 +4,11 @@ constraints (tangential acceleration, collision clearance).
 All public operations take one sampled trajectory. Internally they share
 batched kernels with a leading population axis so the optimizer can
 evaluate whole generations without duplicating any formula.
+
+Kernels over sample points follow the per-axis rule of ``environment``: they
+read (..., 3) positions as three columns and write sums of squares as
+``x*x + y*y + z*z``, bit-identical to ``np.linalg.norm`` over the last axis
+but without its 3-element inner loop per point.
 """
 
 from __future__ import annotations
@@ -115,12 +120,20 @@ def safety_cost(
     return float(_safety_batch(sdf_costs[None, :], hull_costs[None, :], params.k_a, params.k_b)[0])
 
 
+def _segment_lengths(positions: np.ndarray) -> np.ndarray:
+    """Euclidean length of each segment between consecutive samples
+    (positions (..., Q, 3) to lengths (..., Q-1))."""
+    dx, dy, dz = (positions[..., 1:, k] - positions[..., :-1, k] for k in range(3))
+    return np.sqrt(dx * dx + dy * dy + dz * dz)
+
+
 def _segment_directions(positions: np.ndarray, segment_lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit tangents per segment (zero vector on degenerate segments)."""
-    deltas = np.diff(positions, axis=-2)
     nonzero = segment_lengths > 1e-12
-    dirs = np.zeros_like(deltas)
-    np.divide(deltas, segment_lengths[..., None], out=dirs, where=nonzero[..., None])
+    dirs = np.zeros(segment_lengths.shape + (3,))
+    for k in range(3):
+        col = positions[..., k]
+        np.divide(col[..., 1:] - col[..., :-1], segment_lengths, out=dirs[..., k], where=nonzero)
     return dirs, nonzero
 
 

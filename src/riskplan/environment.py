@@ -3,6 +3,16 @@ Euclidean distance field, and oriented-bounding-box keep-out hulls.
 
 Everything here is immutable after construction and all queries are pure, so
 the same environment can be shared by parallel cost evaluations.
+
+The point queries (``SignedDistanceField.query``, ``OrientedHull.signed_distance``)
+work on per-axis columns ``pts[:, k]`` of their (M, 3) input and never
+broadcast against, or reduce over, its trailing axis of 3: numpy runs such an
+operation as one 3-element inner loop per point, several times slower. Sums
+of squares are spelled ``x*x + y*y + z*z``, the summation order of
+``np.linalg.norm``, and clamps are ``np.minimum(np.maximum(...))``, so the
+results are bit-identical to the broadcasting forms. The hull rotation stays
+one matrix product on the flattened points, since a hand-written product
+rounds differently.
 """
 
 from __future__ import annotations
@@ -148,11 +158,19 @@ class OrientedHull:
         Accepts any leading shape of points.
         """
         pts = np.asarray(points, dtype=float)
-        local = (pts - self.center) @ self.rotation
-        d = np.abs(local) - self.half_extents
-        outside = np.linalg.norm(np.maximum(d, 0.0), axis=-1)
-        inside = np.minimum(np.max(d, axis=-1), 0.0)
-        return outside + inside
+        flat = pts.reshape(-1, 3)
+        shifted = np.empty_like(flat)
+        for k, c in enumerate(self.center.tolist()):
+            np.subtract(flat[:, k], c, out=shifted[:, k])
+        local = shifted @ self.rotation
+        hx, hy, hz = self.half_extents.tolist()
+        dx = np.abs(local[:, 0]) - hx
+        dy = np.abs(local[:, 1]) - hy
+        dz = np.abs(local[:, 2]) - hz
+        ox, oy, oz = np.maximum(dx, 0.0), np.maximum(dy, 0.0), np.maximum(dz, 0.0)
+        outside = np.sqrt(ox * ox + oy * oy + oz * oz)
+        inside = np.minimum(np.maximum(np.maximum(dx, dy), dz), 0.0)
+        return (outside + inside).reshape(pts.shape[:-1])
 
 
 def hull_signed_distance(hull: OrientedHull, point) -> float:
@@ -207,35 +225,41 @@ class SignedDistanceField:
         scalar = pts.ndim == 1
         pts = np.atleast_2d(pts)
         res = self.resolution
-        dims = np.asarray(self.dims)
-        upper = self.origin + dims * res
+        nx, ny, nz = self.dims
 
-        bad = np.any((pts < self.origin - res) | (pts > upper + res), axis=-1)
+        bad = None
+        corner, fracs = [], []
+        for k, (n, lo) in enumerate(zip(self.dims, self.origin.tolist())):
+            x = pts[:, k]
+            outside = (x < lo - res) | (x > lo + n * res + res)
+            bad = outside if bad is None else bad | outside
+            g = np.minimum(np.maximum((x - lo) / res - 0.5, 0.0), n - 1.0)
+            i0 = np.minimum(np.floor(g).astype(np.intp), max(n - 2, 0))
+            corner.append(i0)
+            fracs.append(np.minimum(np.maximum(g - i0, 0.0), 1.0))
         if np.any(bad) and out_of_range == "raise":
             offender = pts[bad][0]
             raise OutOfDomainError(
                 f"point {offender.tolist()} is outside the distance field by more than one voxel"
             )
 
-        g = (pts - self.origin) / res - 0.5
-        g = np.clip(g, 0.0, dims - 1.0)
-        i0 = np.minimum(np.floor(g).astype(int), np.maximum(dims - 2, 0))
-        frac = np.clip(g - i0, 0.0, 1.0)
-        i1 = np.minimum(i0 + 1, dims - 1)
-
+        # Flat indices into the C-ordered grid: the lower corner, plus one
+        # step per axis to the upper corner (no step on a one-voxel axis).
+        ix, iy, iz = corner
+        base = (ix * ny + iy) * nz + iz
+        sx = ny * nz if nx > 1 else 0
+        sy = nz if ny > 1 else 0
+        sz = 1 if nz > 1 else 0
         d = self.distance
-        fx, fy, fz = frac[:, 0], frac[:, 1], frac[:, 2]
-        x0, y0, z0 = i0[:, 0], i0[:, 1], i0[:, 2]
-        x1, y1, z1 = i1[:, 0], i1[:, 1], i1[:, 2]
-
-        c000 = d[x0, y0, z0]
-        c100 = d[x1, y0, z0]
-        c010 = d[x0, y1, z0]
-        c110 = d[x1, y1, z0]
-        c001 = d[x0, y0, z1]
-        c101 = d[x1, y0, z1]
-        c011 = d[x0, y1, z1]
-        c111 = d[x1, y1, z1]
+        fx, fy, fz = fracs
+        c000 = d.take(base)
+        c100 = d.take(base + sx)
+        c010 = d.take(base + sy)
+        c110 = d.take(base + (sx + sy))
+        c001 = d.take(base + sz)
+        c101 = d.take(base + (sx + sz))
+        c011 = d.take(base + (sy + sz))
+        c111 = d.take(base + (sx + sy + sz))
 
         c00 = c000 * (1 - fx) + c100 * fx
         c10 = c010 * (1 - fx) + c110 * fx

@@ -267,7 +267,7 @@ def evaluate_batch(decisions: np.ndarray, ctx: EvaluationContext) -> tuple[np.nd
     """
     decisions = np.atleast_2d(np.asarray(decisions, dtype=float))
     positions, speeds = _decode_batch(decisions, ctx)
-    segment_lengths = np.linalg.norm(np.diff(positions, axis=1), axis=2)
+    segment_lengths = costs_mod._segment_lengths(positions)
 
     time = costs_mod._time_batch(segment_lengths, speeds, ctx.v_floor)
 
@@ -277,7 +277,8 @@ def evaluate_batch(decisions: np.ndarray, ctx: EvaluationContext) -> tuple[np.nd
     d_safe = np.nan_to_num(d_obs, nan=0.0)
 
     sdf_costs = costs_mod.sdf_point_cost(d_safe, ctx.safety)
-    hull_costs = costs_mod._hull_cost_batch(positions, ctx.env.hulls, ctx.safety.r_ch_max)
+    hull_costs = costs_mod._hull_cost_batch(flat, ctx.env.hulls, ctx.safety.r_ch_max)
+    hull_costs = hull_costs.reshape(speeds.shape)
     safety = costs_mod._safety_batch(sdf_costs, hull_costs, ctx.safety.k_a, ctx.safety.k_b)
 
     energy, power_ok = costs_mod._energy_batch(
@@ -313,8 +314,13 @@ def evaluate(decision: np.ndarray, ctx: EvaluationContext) -> EvaluatedIndividua
 def _dominance_matrix(objs: np.ndarray, violations: np.ndarray) -> np.ndarray:
     """dom[i, j] is True when i dominates j under feasibility-first rules."""
     feas = violations <= 0.0
-    leq = np.all(objs[:, None, :] <= objs[None, :, :], axis=2)
-    lt = np.any(objs[:, None, :] < objs[None, :, :], axis=2)
+    col = objs[:, 0]
+    leq = col[:, None] <= col[None, :]
+    lt = col[:, None] < col[None, :]
+    for k in range(1, objs.shape[1]):
+        col = objs[:, k]
+        leq &= col[:, None] <= col[None, :]
+        lt |= col[:, None] < col[None, :]
     pareto = leq & lt
     fi = feas[:, None]
     fj = feas[None, :]
@@ -322,17 +328,26 @@ def _dominance_matrix(objs: np.ndarray, violations: np.ndarray) -> np.ndarray:
     return (fi & ~fj) | (~fi & ~fj & less_violation) | (fi & fj & pareto)
 
 
-def _fronts_from_arrays(objs: np.ndarray, violations: np.ndarray) -> list[np.ndarray]:
+def _fronts_from_arrays(
+    objs: np.ndarray, violations: np.ndarray, n_required: Optional[int] = None
+) -> list[np.ndarray]:
+    """Non-dominated fronts in rank order. With ``n_required`` the peeling
+    stops at the first front that brings the assigned count to at least
+    that many, so the result is a prefix of the full sort."""
     n = len(objs)
+    target = n if n_required is None else min(n_required, n)
     dom = _dominance_matrix(objs, violations)
     n_dominators = dom.sum(axis=0)
     fronts = []
     assigned = np.zeros(n, dtype=bool)
-    while not assigned.all():
+    n_assigned = 0
+    while n_assigned < target:
         current = np.flatnonzero((n_dominators == 0) & ~assigned)
         fronts.append(current)
         assigned[current] = True
-        n_dominators = n_dominators - dom[current].sum(axis=0)
+        n_assigned += len(current)
+        if n_assigned < target:
+            n_dominators = n_dominators - dom[current].sum(axis=0)
     return fronts
 
 
@@ -503,7 +518,7 @@ def _select_survivors(
     objs: np.ndarray, violations: np.ndarray, n_survivors: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Environmental selection: whole fronts, last one trimmed by crowding."""
-    fronts = _fronts_from_arrays(objs, violations)
+    fronts = _fronts_from_arrays(objs, violations, n_survivors)
     chosen = []
     ranks = np.empty(len(objs), dtype=int)
     crowd = np.empty(len(objs))
@@ -523,17 +538,20 @@ def _select_survivors(
 
 
 def nsga2_minimize(
-    batch_evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    batch_evaluate: Callable[[np.ndarray], tuple[np.ndarray, ...]],
     lower: np.ndarray,
     upper: np.ndarray,
     params: MooParams,
     initial: np.ndarray,
     progress_sink: Optional[Callable[[GenerationStats], None]] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, ...]:
     """Generic constrained NSGA-II loop on raw arrays.
 
     ``batch_evaluate`` maps decisions (N, D) to (objectives (N, E),
-    total violation (N,)). Returns the final population with its scores.
+    total violation (N,), *extras), where each optional extra is an array
+    with one row per decision that selection carries along unread.
+    Returns the final population followed by its rows of everything
+    ``batch_evaluate`` returned: (pop, objectives, violation, *extras).
     """
     pop = np.clip(np.asarray(initial, dtype=float), lower, upper)
     if len(pop) != params.pop_size:
@@ -545,8 +563,8 @@ def nsga2_minimize(
     if mutation_rate is None:
         mutation_rate = 1.0 / pop.shape[1]
 
-    objs, viol = batch_evaluate(pop)
-    ranks, crowd = _rank_and_crowding(objs, viol)
+    scores = batch_evaluate(pop)
+    ranks, crowd = _rank_and_crowding(scores[0], scores[1])
 
     for gen in range(1, params.n_gen + 1):
         parents_idx = _tournament(ranks, crowd, rng)
@@ -560,17 +578,14 @@ def nsga2_minimize(
         offspring[1::2] = child_b
         offspring = _mutation_batch(offspring, lower, upper, mutation_rate, params.eta_mutation, rng)
 
-        off_objs, off_viol = batch_evaluate(offspring)
         comb_pop = np.vstack([pop, offspring])
-        comb_objs = np.vstack([objs, off_objs])
-        comb_viol = np.concatenate([viol, off_viol])
-
-        survivors, ranks, crowd = _select_survivors(comb_objs, comb_viol, params.pop_size)
+        comb = [np.concatenate(pair) for pair in zip(scores, batch_evaluate(offspring))]
+        survivors, ranks, crowd = _select_survivors(comb[0], comb[1], params.pop_size)
         pop = comb_pop[survivors]
-        objs = comb_objs[survivors]
-        viol = comb_viol[survivors]
+        scores = tuple(arr[survivors] for arr in comb)
 
         if progress_sink is not None:
+            objs, viol = scores[:2]
             feasible = viol <= 0.0
             front_size = int(np.sum((ranks == 0) & feasible))
             best = tuple(
@@ -579,7 +594,7 @@ def nsga2_minimize(
             )
             progress_sink(GenerationStats(generation=gen, front_size=front_size, best=best))
 
-    return pop, objs, viol
+    return (pop, *scores)
 
 
 def _dedup_front(objs: np.ndarray) -> np.ndarray:
@@ -604,20 +619,19 @@ def run_nsga2(
     """
     cols = [OBJECTIVE_NAMES.index(name) for name in ctx.objectives]
 
-    def batch(decisions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def batch(decisions: np.ndarray) -> tuple[np.ndarray, ...]:
         cost_arr, viol = evaluate_batch(decisions, ctx)
-        return cost_arr[:, cols], viol.sum(axis=1)
+        return cost_arr[:, cols], viol.sum(axis=1), cost_arr, viol
 
-    pop, objs_sub, viol_total = nsga2_minimize(
+    pop, objs_sub, viol_total, cost_arr, viol = nsga2_minimize(
         batch, ctx.bounds.lower, ctx.bounds.upper, params, seed_population, progress_sink
     )
 
-    cost_arr, viol = evaluate_batch(pop, ctx)
-    feasible = viol.sum(axis=1) <= 0.0
+    feasible = viol_total <= 0.0
     if not feasible.any():
         log.warning("optimization ended with no feasible individual (infeasible seed?)")
         return []
-    fronts = _fronts_from_arrays(cost_arr[:, cols], viol.sum(axis=1))
+    fronts = _fronts_from_arrays(objs_sub, viol_total, 1)
     first = np.array([i for i in fronts[0] if feasible[i]], dtype=int)
     kept = first[_dedup_front(cost_arr[first])]
     order = np.lexsort((cost_arr[kept, 2], cost_arr[kept, 1], cost_arr[kept, 0]))

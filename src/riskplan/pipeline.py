@@ -352,6 +352,14 @@ def load_front(path) -> tuple[list, dict]:
 # --- sweeps -----------------------------------------------------------------
 
 
+def _spec_number(spec: dict, key: str, default: float) -> float:
+    value = spec.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"sweep.{key}: must be a number, got {value!r}") from exc
+
+
 def _simplex_grid(spacing: float) -> list[tuple[float, float, float]]:
     """Lattice of (k_time, k_safety, k_energy) triples summing to 1."""
     m = round(1.0 / spacing) if spacing > 0 else 0
@@ -385,6 +393,10 @@ def sweep(
     voting); ``replan`` forces a full replan per grid point instead. The
     spec is validated before anything is planned.
     """
+    if not isinstance(sweep_spec, dict):
+        raise ValidationError(
+            f"sweep spec: must be a JSON object, got {type(sweep_spec).__name__}"
+        )
     kind = sweep_spec.get("kind")
     if kind not in ("risk", "coefficients"):
         raise ValidationError(f"sweep.kind: must be 'risk' or 'coefficients', got {kind!r}")
@@ -392,9 +404,9 @@ def sweep(
         axis = sweep_spec.get("axis")
         if axis not in ("wind", "communication", "localization", "battery"):
             raise ValidationError(f"sweep.axis: unknown risk axis {axis!r}")
-        start = float(sweep_spec.get("start", 0.0))
-        stop = float(sweep_spec.get("stop", 1.0))
-        step = float(sweep_spec.get("step", 0.1))
+        start = _spec_number(sweep_spec, "start", 0.0)
+        stop = _spec_number(sweep_spec, "stop", 1.0)
+        step = _spec_number(sweep_spec, "step", 0.1)
         if not (step > 0 and stop >= start):
             raise ValidationError("sweep.start/stop/step: need step > 0 and stop >= start")
         n_points = int(round((stop - start) / step)) + 1
@@ -402,7 +414,7 @@ def sweep(
     else:
         if replan:
             raise ValidationError("sweep: replan applies to risk sweeps only")
-        grid = _simplex_grid(float(sweep_spec.get("spacing", 0.1)))
+        grid = _simplex_grid(_spec_number(sweep_spec, "spacing", 0.1))
 
     env = build_scenario_environment(scn)
     power_model = fit_quadric(load_power_samples(scn.power_calibration))

@@ -159,9 +159,9 @@ def power_for_directions(
     with np.errstate(divide="ignore", invalid="ignore"):
         r1 = np.where(q != 0, q / A, np.nan)
         r2 = np.where(q != 0, 1.0 / q, -sq / (2.0 * A))
-    roots = np.stack([r1, r2], axis=-1)
-    roots = np.where((roots > 0) & np.isfinite(roots), roots, np.inf)
-    best = roots.min(axis=-1)
+    r1 = np.where((r1 > 0) & np.isfinite(r1), r1, np.inf)
+    r2 = np.where((r2 > 0) & np.isfinite(r2), r2, np.inf)
+    best = np.minimum(r1, r2)
     quad_ok = quad & np.isfinite(best)
     powers[quad_ok] = best[quad_ok]
 

@@ -148,6 +148,26 @@ class TestSweepCommand:
         spec.write_text(json.dumps(bad))
         assert main(["sweep", str(scenario_file), "--spec", str(spec)]) == 2
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [1],
+            "coefficients",
+            {"kind": "coefficients", "spacing": "x"},
+            {"kind": "risk", "axis": "wind", "start": "x"},
+            {"kind": "risk", "axis": "wind", "stop": [1]},
+            {"kind": "risk", "axis": "wind", "step": None},
+        ],
+        ids=["list", "string", "text-spacing", "text-start", "list-stop", "null-step"],
+    )
+    def test_malformed_spec_rejected_before_planning(
+        self, scenario_file, tmp_path, no_planning, capsys, bad
+    ):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(bad))
+        assert main(["sweep", str(scenario_file), "--spec", str(spec)]) == 2
+        assert "validation error" in capsys.readouterr().err
+
     def test_replan_on_coefficient_sweep_rejected(self, scenario_file, tmp_path, no_planning):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"kind": "coefficients", "spacing": 0.5}))

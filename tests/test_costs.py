@@ -6,6 +6,8 @@ import pytest
 from conftest import asymmetric_model, symmetric_model
 from riskplan.costs import (
     ConstraintReport,
+    _segment_directions,
+    _segment_lengths,
     check_constraints,
     energy_cost,
     hull_point_cost,
@@ -278,3 +280,43 @@ class TestCheckConstraints:
         assert report.feasible
         report = ConstraintReport(max_accel_violation=0.1, collision_violation=0.0)
         assert not report.feasible
+
+
+class TestPerAxisSegmentKernels:
+    """The per-axis segment kernels against their broadcasting forms."""
+
+    @staticmethod
+    def positions(seed):
+        rng = np.random.default_rng(seed)
+        pos = rng.uniform(-20, 20, (6, 30, 3)) * rng.uniform(1e-3, 1.0, (6, 30, 1))
+        # Zero-length segments: repeated samples, a stationary member, and
+        # a step below the 1e-12 direction threshold.
+        pos[0, 5] = pos[0, 4]
+        pos[1] = pos[1, 0]
+        pos[2, 8] = pos[2, 7] + 1e-14
+        return pos
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_lengths_match_norm(self, seed):
+        pos = self.positions(seed)
+        want = np.linalg.norm(np.diff(pos, axis=-2), axis=-1)
+        assert np.array_equal(_segment_lengths(pos), want)
+        assert np.array_equal(_segment_lengths(pos[3]), want[3])
+        # A strided view, as the decoded positions are.
+        padded = np.concatenate([pos, pos[..., :1]], axis=-1)[..., :3]
+        assert np.array_equal(_segment_lengths(padded), want)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_directions_match_broadcast_division(self, seed):
+        pos = self.positions(seed)
+        lengths = np.linalg.norm(np.diff(pos, axis=-2), axis=-1)
+        deltas = np.diff(pos, axis=-2)
+        want_nonzero = lengths > 1e-12
+        want = np.zeros_like(deltas)
+        np.divide(deltas, lengths[..., None], out=want, where=want_nonzero[..., None])
+        assert not want_nonzero.all()
+        dirs, nonzero = _segment_directions(pos, lengths)
+        assert np.array_equal(nonzero, want_nonzero)
+        assert np.array_equal(dirs, want)
+        dirs_one, _ = _segment_directions(pos[0], lengths[0])
+        assert np.array_equal(dirs_one, want[0])

@@ -11,6 +11,7 @@ from riskplan.environment import (
     DomainBox,
     OrientedHull,
     SafetyParams,
+    SignedDistanceField,
     SphereObstacle,
     build_sdf,
     hull_signed_distance,
@@ -247,3 +248,126 @@ class TestSafetyParams:
     def test_radius_order_enforced(self):
         with pytest.raises(ValidationError):
             SafetyParams(r_sdf_min=5, r_sdf_max=1, r_ch_max=2)
+
+
+# --- per-axis kernels against their broadcasting reference forms ------------
+
+
+def reference_query(sdf: SignedDistanceField, points: np.ndarray) -> np.ndarray:
+    """Trilinear query written with (M, 3) broadcasting; NaN out of range."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    res = sdf.resolution
+    dims = np.asarray(sdf.dims)
+    upper = sdf.origin + dims * res
+    bad = np.any((pts < sdf.origin - res) | (pts > upper + res), axis=-1)
+    g = (pts - sdf.origin) / res - 0.5
+    g = np.clip(g, 0.0, dims - 1.0)
+    i0 = np.minimum(np.floor(g).astype(int), np.maximum(dims - 2, 0))
+    frac = np.clip(g - i0, 0.0, 1.0)
+    i1 = np.minimum(i0 + 1, dims - 1)
+    d = sdf.distance
+    fx, fy, fz = frac[:, 0], frac[:, 1], frac[:, 2]
+    x0, y0, z0 = i0[:, 0], i0[:, 1], i0[:, 2]
+    x1, y1, z1 = i1[:, 0], i1[:, 1], i1[:, 2]
+    c00 = d[x0, y0, z0] * (1 - fx) + d[x1, y0, z0] * fx
+    c10 = d[x0, y1, z0] * (1 - fx) + d[x1, y1, z0] * fx
+    c01 = d[x0, y0, z1] * (1 - fx) + d[x1, y0, z1] * fx
+    c11 = d[x0, y1, z1] * (1 - fx) + d[x1, y1, z1] * fx
+    c0 = c00 * (1 - fy) + c10 * fy
+    c1 = c01 * (1 - fy) + c11 * fy
+    out = c0 * (1 - fz) + c1 * fz
+    return np.where(bad, np.nan, out)
+
+
+def reference_hull_distance(hull: OrientedHull, points: np.ndarray) -> np.ndarray:
+    """Hull signed distance written with broadcasting over the last axis."""
+    local = (np.asarray(points, dtype=float) - hull.center) @ hull.rotation
+    d = np.abs(local) - hull.half_extents
+    outside = np.linalg.norm(np.maximum(d, 0.0), axis=-1)
+    inside = np.minimum(np.max(d, axis=-1), 0.0)
+    return outside + inside
+
+
+def random_field(rng, dims, resolution=0.37) -> SignedDistanceField:
+    return SignedDistanceField(
+        origin=rng.uniform(-3, 3, 3),
+        resolution=resolution,
+        dims=tuple(dims),
+        distance=rng.uniform(0, 5, dims),
+    )
+
+
+def border_points(sdf: SignedDistanceField) -> np.ndarray:
+    """Every combination of the per-axis landmarks: the one-voxel margin,
+    the grid faces, the first and last voxel centres and just past the
+    margin."""
+    res = sdf.resolution
+    per_axis = []
+    for k in range(3):
+        lo = sdf.origin[k]
+        hi = lo + sdf.dims[k] * res
+        per_axis.append(
+            [lo - res - 1e-9, lo - res, lo, lo + res / 2, hi - res / 2, hi, hi + res,
+             hi + res + 1e-9]
+        )
+    grid = np.meshgrid(*per_axis, indexing="ij")
+    return np.stack([g.ravel() for g in grid], axis=1)
+
+
+class TestPerAxisKernels:
+    @pytest.mark.parametrize("dims", [(7, 5, 4), (6, 1, 5), (1, 4, 3), (2, 2, 1)])
+    def test_query_matches_broadcast_reference(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        sdf = random_field(rng, dims)
+        res = sdf.resolution
+        upper = sdf.origin + np.asarray(dims) * res
+        # Spread to two voxels past every face, so some points are outside
+        # the field by more than one voxel.
+        pts = rng.uniform(sdf.origin - 2 * res, upper + 2 * res, (500, 3))
+        pts = np.vstack([pts, border_points(sdf)])
+        want = reference_query(sdf, pts)
+        assert np.isnan(want).any() and np.isfinite(want).any()
+        assert np.array_equal(sdf.query(pts, out_of_range="nan"), want, equal_nan=True)
+        inside = np.isfinite(want)
+        assert np.array_equal(sdf.query(pts[inside]), want[inside])
+        with pytest.raises(OutOfDomainError):
+            sdf.query(pts)
+
+    def test_scalar_query_matches_reference(self):
+        rng = np.random.default_rng(11)
+        sdf = random_field(rng, (5, 6, 7))
+        for p in border_points(sdf)[::7]:
+            want = reference_query(sdf, p)[0]
+            got = sdf.query(p, out_of_range="nan")
+            assert np.isscalar(got) or np.ndim(got) == 0
+            assert np.array_equal(got, want, equal_nan=True)
+
+    def test_query_on_built_field_matches_reference(self):
+        domain = DomainBox(min_corner=[0, 0, 0], max_corner=[12, 9, 6], v_max=1.0)
+        sdf = build_sdf([SphereObstacle(center=[6, 4, 3], radius=1.5)], domain, 0.5)
+        pts = np.random.default_rng(2).uniform(-1, 13, (2000, 3))
+        want = reference_query(sdf, pts)
+        assert np.array_equal(sdf.query(pts, out_of_range="nan"), want, equal_nan=True)
+
+    @pytest.mark.parametrize("rotated", [False, True], ids=["axis-aligned", "rotated"])
+    def test_hull_matches_broadcast_reference(self, rotated):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            hull = OrientedHull(
+                center=rng.uniform(-3, 3, 3),
+                half_extents=rng.uniform(0.2, 3.0, 3),
+                rotation=random_rotation(rng) if rotated else np.eye(3),
+            )
+            pts = hull.center + rng.uniform(-6, 6, (400, 3))
+            # Points on faces, edges and corners, and the centre itself.
+            signs = rng.choice([-1.0, 0.0, 1.0], (100, 3))
+            on_box = hull.center + (signs * hull.half_extents) @ hull.rotation.T
+            pts = np.vstack([pts, on_box, hull.center])
+            assert np.array_equal(hull.signed_distance(pts), reference_hull_distance(hull, pts))
+            stacked = pts[:400].reshape(8, 50, 3)
+            got = hull.signed_distance(stacked)
+            assert got.shape == (8, 50)
+            assert np.array_equal(got, reference_hull_distance(hull, stacked))
+            assert np.array_equal(
+                hull.signed_distance(pts[0]), reference_hull_distance(hull, pts[0])
+            )

@@ -11,8 +11,11 @@ from riskplan.moo import (
     Bounds,
     EvaluatedIndividual,
     MooParams,
+    _crowding_from_arrays,
+    _fronts_from_arrays,
     _mutation_batch,
     _sbx_batch,
+    _select_survivors,
     build_bounds,
     crowding_distance,
     decision_arity,
@@ -156,6 +159,66 @@ class TestNonDominatedSort:
         got = [sorted(f) for f in non_dominated_sort(pop)]
         want = [sorted(f) for f in brute_force_fronts(pop)]
         assert got == want
+
+
+def random_scores(rng, n):
+    """Objectives and total violations with ties, duplicated members and
+    infeasible members, as (objs (n, 3), violations (n,))."""
+    objs = rng.integers(0, 5, (n, 3)).astype(float)
+    viol = np.where(rng.random(n) < 0.3, rng.integers(1, 4, n).astype(float), 0.0)
+    dup = rng.choice(n, n // 5, replace=False)
+    src = rng.choice(n, len(dup))
+    objs[dup] = objs[src]
+    viol[dup] = viol[src]
+    return objs, viol
+
+
+def full_peel_survivors(objs, violations, n_survivors):
+    """Environmental selection from the complete non-dominated sort."""
+    chosen = []
+    ranks = np.empty(len(objs), dtype=int)
+    crowd = np.empty(len(objs))
+    for rank, front in enumerate(_fronts_from_arrays(objs, violations)):
+        ranks[front] = rank
+        crowd[front] = _crowding_from_arrays(objs[front])
+        if len(chosen) + len(front) <= n_survivors:
+            chosen.extend(front.tolist())
+        else:
+            order = np.argsort(-crowd[front], kind="stable")
+            chosen.extend(front[order[: n_survivors - len(chosen)]].tolist())
+        if len(chosen) >= n_survivors:
+            break
+    idx = np.array(chosen, dtype=int)
+    return idx, ranks[idx], crowd[idx]
+
+
+class TestEarlyStopSort:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_survivors_match_full_peel(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 100))
+        objs, viol = random_scores(rng, n)
+        for n_survivors in sorted({1, 5, n // 2, n - 1, n}):
+            got = _select_survivors(objs, viol, n_survivors)
+            want = full_peel_survivors(objs, viol, n_survivors)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_partial_fronts_are_minimal_prefix(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(8, 100))
+        objs, viol = random_scores(rng, n)
+        full = _fronts_from_arrays(objs, viol)
+        assert sum(len(f) for f in full) == n
+        for n_required in (0, 1, 2, n // 3, n - 1, n, n + 5):
+            part = _fronts_from_arrays(objs, viol, n_required)
+            assert len(part) <= len(full)
+            for p, f in zip(part, full):
+                assert np.array_equal(p, f)
+            sizes = [len(f) for f in part]
+            assert sum(sizes) >= min(n_required, n)
+            assert sum(sizes[:-1]) < n_required or not part
 
 
 class TestCrowdingDistance:
@@ -378,6 +441,37 @@ class TestRunNsga2:
         a = evaluate_batch(decision[None, :], ctx)
         b = evaluate_batch(decision[None, :], ctx)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+class TestFinalScores:
+    def test_final_population_not_rescored(self, tmp_path, monkeypatch):
+        # The front carries the scores from selection: a run evaluates the
+        # initial population and one offspring batch per generation, and
+        # each member's carried costs equal a fresh evaluation.
+        import riskplan.moo as moo_mod
+        from riskplan.pipeline import _prepare_run, build_scenario_environment
+        from riskplan.power import fit_quadric, load_power_samples
+
+        scn = make_corridor_scenario(tmp_path, n_gen=30)
+        env = build_scenario_environment(scn)
+        model = fit_quadric(load_power_samples(scn.power_calibration))
+        _, ctx, population, params = _prepare_run(scn, env, model)
+        calls = []
+        evaluate_batch = moo_mod.evaluate_batch
+
+        def counted(decisions, ctx):
+            calls.append(len(decisions))
+            return evaluate_batch(decisions, ctx)
+
+        monkeypatch.setattr(moo_mod, "evaluate_batch", counted)
+        front = run_nsga2(ctx, population, params)
+        assert calls == [params.pop_size] * (params.n_gen + 1)
+        monkeypatch.undo()
+        assert front
+        for ind in front:
+            fresh = evaluate(ind.decision, ctx)
+            assert fresh.costs == ind.costs
+            assert fresh.constraints == ind.constraints
 
 
 class TestTimeOnlyConvergence:

@@ -166,6 +166,69 @@ class TestPowerForDirection:
             assert ps == pytest.approx(s * p1, rel=1e-9)
 
 
+def reference_powers(model, directions):
+    """Root pick written with a stacked (M, 2) root array."""
+    d = np.atleast_2d(np.asarray(directions, dtype=float))
+    A, B = model.quadratic_coefficients(d)
+    powers = np.full(len(d), np.nan)
+    linear = np.abs(A) <= 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_lin = -1.0 / B
+    lin_ok = linear & (t_lin > 0) & np.isfinite(t_lin)
+    powers[lin_ok] = t_lin[lin_ok]
+    disc = B * B - 4.0 * A
+    quad = ~linear & (disc >= 0)
+    sq = np.sqrt(np.where(disc >= 0, disc, 0.0))
+    sign = np.where(B >= 0, 1.0, -1.0)
+    q = -(B + sign * sq) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r1 = np.where(q != 0, q / A, np.nan)
+        r2 = np.where(q != 0, 1.0 / q, -sq / (2.0 * A))
+    roots = np.stack([r1, r2], axis=-1)
+    roots = np.where((roots > 0) & np.isfinite(roots), roots, np.inf)
+    best = roots.min(axis=-1)
+    quad_ok = quad & np.isfinite(best)
+    powers[quad_ok] = best[quad_ok]
+    return powers, np.isfinite(powers)
+
+
+class TestRootPickOracle:
+    def check(self, model, dirs):
+        got, got_valid = power_for_directions(model, dirs)
+        want, want_valid = reference_powers(model, dirs)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(got_valid, want_valid)
+        return want_valid
+
+    def test_random_models_and_directions(self):
+        rng = np.random.default_rng(23)
+        dirs = np.vstack([random_unit_vectors(rng, 400), AXIS_DIRECTIONS, np.zeros((1, 3))])
+        valid = []
+        for _ in range(20):
+            model = fit_quadric(axis_samples(list(rng.uniform(300, 1500, 6))))
+            valid.append(self.check(model, dirs))
+            # Unphysical sign patterns reach the no-root and negative-root cases.
+            coeffs = rng.uniform(-1e-5, 1e-5, 3).tolist() + rng.uniform(-1e-2, 1e-2, 3).tolist()
+            valid.append(self.check(PowerQuadricModel(*coeffs, hover_power=500.0), dirs))
+        valid = np.concatenate(valid)
+        assert valid.any() and not valid.all()
+
+    def test_linear_branch(self):
+        rng = np.random.default_rng(29)
+        dirs = np.vstack([random_unit_vectors(rng, 200), AXIS_DIRECTIONS])
+        # No quadratic terms: |A| = 0 for every direction.
+        flat = PowerQuadricModel(a=0.0, b=0.0, c=0.0, g=-2e-3, h=1e-3, k=-1e-3, hover_power=500.0)
+        valid = self.check(flat, dirs)
+        assert valid.any() and not valid.all()
+        # a = -c: |A| <= 1e-12 exactly where x^2 == z^2, beside quadratic directions.
+        saddle = PowerQuadricModel(a=-4e-6, b=-4e-6, c=4e-6, g=0.0, h=0.0, k=-3e-3, hover_power=500.0)
+        s = np.sqrt(0.5)
+        diagonals = np.array([[s, 0.0, s], [-s, 0.0, s], [s, 0.0, -s], [-s, 0.0, -s]])
+        A, _ = saddle.quadratic_coefficients(diagonals)
+        assert np.all(np.abs(A) <= 1e-12)
+        self.check(saddle, np.vstack([diagonals, dirs]))
+
+
 class TestCsvLoading:
     def test_load_and_normalize(self, tmp_path):
         path = tmp_path / "cal.csv"
