@@ -18,8 +18,6 @@ from .environment import (
     SphereObstacle,
     build_environment,
     build_sdf,
-    hull_signed_distance,
-    query_distance,
 )
 from .moo import (
     Bounds,
@@ -34,7 +32,7 @@ from .moo import (
 )
 from .nurbs import NurbsCurve4D, TrajectorySamples, make_clamped_uniform_knots, sample_uniform
 from .pipeline import PlanResult, plan, sweep
-from .power import PowerQuadricModel, PowerSample, fit_quadric, power_for_direction
+from .power import PowerQuadricModel, PowerSample, fit_quadric
 from .scenario import Hyperparams, Scenario, load_scenario
 from .seeding import SeedingParams, find_seed_path, initial_population
 from .voting import RiskState, VoteWeights, adjust_coefficients, rank_objectives, vote
@@ -74,14 +72,11 @@ __all__ = [
     "evaluate",
     "find_seed_path",
     "fit_quadric",
-    "hull_signed_distance",
     "initial_population",
     "load_scenario",
     "make_clamped_uniform_knots",
     "make_context",
     "plan",
-    "power_for_direction",
-    "query_distance",
     "rank_objectives",
     "run_nsga2",
     "sample_uniform",

@@ -13,13 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    FitError,
-    ModelDomainError,
-    PlanningFailureError,
-    ValidationError,
-)
+from .errors import CapacityError, FitError, PlanningFailureError, ValidationError
 from .pipeline import fit_power_report, load_front, plan, sweep
 from .scenario import load_scenario
 from .voting import RiskState, adjust_coefficients, vote
@@ -196,7 +190,7 @@ def main(argv=None) -> int:
     except PlanningFailureError as exc:
         print(f"planning failure: {exc}", file=sys.stderr)
         return EXIT_PLANNING
-    except (FitError, ModelDomainError) as exc:
+    except FitError as exc:
         print(f"power model failure: {exc}", file=sys.stderr)
         return EXIT_FIT
 

@@ -1,9 +1,13 @@
 """The three trajectory objectives (time, safety, energy) and the two hard
 constraints (tangential acceleration, collision clearance).
 
-All public operations take one sampled trajectory. Internally they share
-batched kernels with a leading population axis so the optimizer can
-evaluate whole generations without duplicating any formula.
+Each formula has one batch kernel over arrays with a leading population
+axis: positions (N, Q, 3), speeds (N, Q) and segment lengths (N, Q-1).
+``moo.evaluate_batch`` scores whole generations with them, and a single
+trajectory is a batch of one. ``check_constraints`` takes one
+``TrajectorySamples`` for the emission re-check, and ``pipeline`` builds the
+emitted timeline and power profile from ``_segment_times`` and
+``_segment_powers``, the helpers the time and energy kernels use.
 
 Kernels over sample points follow the per-axis rule of ``environment``: they
 read (..., 3) positions as three columns and write sums of squares as
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import Environment, OrientedHull, SafetyParams
+from .environment import Environment, SafetyParams
 from .nurbs import TrajectorySamples
 from .power import PowerQuadricModel, power_for_directions
 
@@ -49,82 +53,17 @@ class ConstraintReport:
         return self.max_accel_violation + self.collision_violation
 
 
-def _time_batch(segment_lengths: np.ndarray, speeds: np.ndarray, v_floor: float) -> np.ndarray:
-    """Per-trajectory traversal time; each segment is flown at the speed of
-    its end sample, floored at v_floor."""
-    v = np.maximum(speeds[:, 1:], v_floor)
-    return (segment_lengths / v).sum(axis=1)
-
-
-def time_cost(samples: TrajectorySamples, v_floor: float = DEFAULT_V_FLOOR) -> float:
-    return float(_time_batch(samples.segment_lengths[None, :], samples.speeds[None, :], v_floor)[0])
-
-
-def sdf_point_cost(d_obs, params: SafetyParams, strict_paper_sdf_branch: bool = False):
-    """Obstacle-proximity cost in [0, 1] from a clearance value.
-
-    Saturated at 1 inside r_sdf_min, 0 beyond r_sdf_max, and a hyperbolic
-    falloff in between. The default middle branch is shifted so the cost is
-    continuous at both radii; ``strict_paper_sdf_branch`` restores the
-    unshifted form lambda/d - 1 for comparison.
-    """
-    d = np.asarray(d_obs, dtype=float)
-    r_min, r_max = params.r_sdf_min, params.r_sdf_max
-    lam = r_min * r_max / (r_max - r_min)
-    safe_d = np.maximum(d, r_min)
-    if strict_paper_sdf_branch:
-        middle = lam / safe_d - 1.0
-    else:
-        middle = lam * (1.0 / safe_d - 1.0 / r_max)
-    out = np.where(d <= r_min, 1.0, np.where(d >= r_max, 0.0, middle))
-    return float(out) if np.isscalar(d_obs) else out
-
-
-def _hull_cost_batch(points: np.ndarray, hulls, r_ch_max: float) -> np.ndarray:
-    """Summed keep-out cost over all hulls at points of shape (..., 3)."""
-    total = np.zeros(points.shape[:-1])
-    for hull in hulls:
-        d = hull.signed_distance(points)
-        cost = np.where(d <= 0, 1.0, np.where(d >= r_ch_max, 0.0, 1.0 - d / r_ch_max))
-        total += cost
-    return total
-
-
-def hull_point_cost(point, hulls, r_ch_max: float) -> float:
-    """Keep-out cost at one point: 1 per hull the point is inside, linear
-    falloff out to r_ch_max, summed over hulls."""
-    return float(_hull_cost_batch(np.asarray(point, dtype=float), tuple(hulls), r_ch_max))
-
-
-def _safety_batch(sdf_costs: np.ndarray, hull_costs: np.ndarray, k_a: float, k_b: float) -> np.ndarray:
-    """Mean-plus-max aggregation of both per-point cost families."""
-    term_a = sdf_costs.mean(axis=1) + sdf_costs.max(axis=1)
-    term_b = hull_costs.mean(axis=1) + hull_costs.max(axis=1)
-    return k_a * term_a + k_b * term_b
-
-
-def safety_cost(
-    samples: TrajectorySamples,
-    env: Environment,
-    params: SafetyParams,
-    strict_paper_sdf_branch: bool = False,
-) -> float:
-    """Two-term safety objective over all sample points.
-
-    Out-of-domain samples raise OutOfDomainError; the optimizer treats
-    that as an infeasibility rather than aborting.
-    """
-    d_obs = env.clearance(samples.positions)
-    sdf_costs = sdf_point_cost(d_obs, params, strict_paper_sdf_branch)
-    hull_costs = _hull_cost_batch(samples.positions, env.hulls, params.r_ch_max)
-    return float(_safety_batch(sdf_costs[None, :], hull_costs[None, :], params.k_a, params.k_b)[0])
-
-
 def _segment_lengths(positions: np.ndarray) -> np.ndarray:
     """Euclidean length of each segment between consecutive samples
     (positions (..., Q, 3) to lengths (..., Q-1))."""
     dx, dy, dz = (positions[..., 1:, k] - positions[..., :-1, k] for k in range(3))
     return np.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+def _segment_times(segment_lengths: np.ndarray, speeds: np.ndarray, v_floor: float) -> np.ndarray:
+    """Flight time of each segment at the speed of its end sample, floored
+    at v_floor (speeds (..., Q) to times (..., Q-1))."""
+    return segment_lengths / np.maximum(speeds[..., 1:], v_floor)
 
 
 def _segment_directions(positions: np.ndarray, segment_lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,6 +76,57 @@ def _segment_directions(positions: np.ndarray, segment_lengths: np.ndarray) -> t
     return dirs, nonzero
 
 
+def _segment_powers(
+    positions: np.ndarray, segment_lengths: np.ndarray, model: PowerQuadricModel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Steady-state power along each segment direction, as (powers, valid,
+    nonzero) shaped like ``segment_lengths``.
+
+    ``valid`` is False, and the power NaN, where the power surface has no
+    solution, which includes the zero direction of every degenerate
+    (``nonzero`` False) segment.
+    """
+    dirs, nonzero = _segment_directions(positions, segment_lengths)
+    powers, valid = power_for_directions(model, dirs.reshape(-1, 3))
+    return powers.reshape(segment_lengths.shape), valid.reshape(segment_lengths.shape), nonzero
+
+
+def _time_batch(segment_lengths: np.ndarray, speeds: np.ndarray, v_floor: float) -> np.ndarray:
+    """Per-trajectory traversal time."""
+    return _segment_times(segment_lengths, speeds, v_floor).sum(axis=1)
+
+
+def sdf_point_cost(d_obs: np.ndarray, params: SafetyParams) -> np.ndarray:
+    """Obstacle-proximity cost in [0, 1] per clearance value.
+
+    Saturated at 1 inside r_sdf_min, 0 beyond r_sdf_max, and a hyperbolic
+    falloff in between. The middle branch is shifted by -lambda/r_sdf_max
+    because the paper's unshifted form lambda/d - 1 is discontinuous at both
+    radii (unless r_sdf_max = 2 r_sdf_min).
+    """
+    r_min, r_max = params.r_sdf_min, params.r_sdf_max
+    lam = r_min * r_max / (r_max - r_min)
+    middle = lam * (1.0 / np.maximum(d_obs, r_min) - 1.0 / r_max)
+    return np.where(d_obs <= r_min, 1.0, np.where(d_obs >= r_max, 0.0, middle))
+
+
+def _hull_cost_batch(points: np.ndarray, hulls, r_ch_max: float) -> np.ndarray:
+    """Summed keep-out cost over all hulls at points of shape (..., 3): 1 per
+    hull the point is inside, falling off linearly to 0 at r_ch_max outside."""
+    total = np.zeros(points.shape[:-1])
+    for hull in hulls:
+        d = hull.signed_distance(points)
+        total += np.minimum(np.maximum(1.0 - d / r_ch_max, 0.0), 1.0)
+    return total
+
+
+def _safety_batch(sdf_costs: np.ndarray, hull_costs: np.ndarray, k_a: float, k_b: float) -> np.ndarray:
+    """Mean-plus-max aggregation of both per-point cost families."""
+    term_a = sdf_costs.mean(axis=1) + sdf_costs.max(axis=1)
+    term_b = hull_costs.mean(axis=1) + hull_costs.max(axis=1)
+    return k_a * term_a + k_b * term_b
+
+
 def _energy_batch(
     positions: np.ndarray,
     segment_lengths: np.ndarray,
@@ -144,40 +134,19 @@ def _energy_batch(
     model: PowerQuadricModel,
     v_floor: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trajectory energy and a per-trajectory validity flag.
+    """Per-trajectory energy (directional steady-state power times segment
+    time) and a per-trajectory validity flag.
 
     A trajectory is invalid when the power surface has no solution for
     some nondegenerate segment direction; zero-length segments contribute
     no energy.
     """
-    dirs, nonzero = _segment_directions(positions, segment_lengths)
-    flat_dirs = dirs.reshape(-1, 3)
-    powers, valid = power_for_directions(model, flat_dirs)
-    powers = powers.reshape(segment_lengths.shape)
-    valid = valid.reshape(segment_lengths.shape)
-    dt = segment_lengths / np.maximum(speeds[:, 1:], v_floor)
+    powers, valid, nonzero = _segment_powers(positions, segment_lengths, model)
+    dt = _segment_times(segment_lengths, speeds, v_floor)
     contrib = np.where(nonzero, powers * dt, 0.0)
     ok = np.all(valid | ~nonzero, axis=1)
     energy = np.where(ok, np.nan_to_num(contrib, nan=0.0).sum(axis=1), np.nan)
     return energy, ok
-
-
-def energy_cost(
-    samples: TrajectorySamples, model: PowerQuadricModel, v_floor: float = DEFAULT_V_FLOOR
-) -> float:
-    """Energy objective: directional steady-state power times segment time."""
-    energy, ok = _energy_batch(
-        samples.positions[None, :, :],
-        samples.segment_lengths[None, :],
-        samples.speeds[None, :],
-        model,
-        v_floor,
-    )
-    if not ok[0]:
-        from .errors import ModelDomainError
-
-        raise ModelDomainError("power model has no solution along a segment direction")
-    return float(energy[0])
 
 
 def _accel_violation_batch(

@@ -173,11 +173,6 @@ class OrientedHull:
         return (outside + inside).reshape(pts.shape[:-1])
 
 
-def hull_signed_distance(hull: OrientedHull, point) -> float:
-    """Distance from a single point to a hull surface (negative inside)."""
-    return float(hull.signed_distance(np.asarray(point, dtype=float)))
-
-
 @dataclass(frozen=True)
 class SafetyParams:
     """Influence radii and weights for the two-term safety cost."""
@@ -218,7 +213,8 @@ class SignedDistanceField:
     def query(self, points: np.ndarray, out_of_range: str = "raise") -> np.ndarray:
         """Trilinear interpolation of the distance grid at world points.
 
-        Points within one voxel of the grid border are clamped onto it.
+        Points within one voxel of the grid border are clamped onto it. A
+        point farther out, or with a non-finite coordinate, is out of range:
         ``out_of_range`` is either "raise" (OutOfDomainError) or "nan".
         """
         pts = np.asarray(points, dtype=float)
@@ -226,22 +222,30 @@ class SignedDistanceField:
         pts = np.atleast_2d(pts)
         res = self.resolution
         nx, ny, nz = self.dims
+        lows = self.origin.tolist()
 
-        bad = None
-        corner, fracs = [], []
-        for k, (n, lo) in enumerate(zip(self.dims, self.origin.tolist())):
+        # An in-range test, so that a NaN coordinate fails it.
+        good = None
+        for k, (n, lo) in enumerate(zip(self.dims, lows)):
             x = pts[:, k]
-            outside = (x < lo - res) | (x > lo + n * res + res)
-            bad = outside if bad is None else bad | outside
-            g = np.minimum(np.maximum((x - lo) / res - 0.5, 0.0), n - 1.0)
+            inside = (x >= lo - res) & (x <= lo + n * res + res)
+            good = inside if good is None else good & inside
+        bad = None if good.all() else ~good
+        if bad is not None:
+            if out_of_range == "raise":
+                raise OutOfDomainError(
+                    f"point {pts[bad][0].tolist()} is not finite or lies outside the "
+                    "distance field by more than one voxel"
+                )
+            # Read the bad rows at the origin; they are set to NaN below.
+            pts = np.where(good[:, None], pts, self.origin)
+
+        corner, fracs = [], []
+        for k, (n, lo) in enumerate(zip(self.dims, lows)):
+            g = np.minimum(np.maximum((pts[:, k] - lo) / res - 0.5, 0.0), n - 1.0)
             i0 = np.minimum(np.floor(g).astype(np.intp), max(n - 2, 0))
             corner.append(i0)
             fracs.append(np.minimum(np.maximum(g - i0, 0.0), 1.0))
-        if np.any(bad) and out_of_range == "raise":
-            offender = pts[bad][0]
-            raise OutOfDomainError(
-                f"point {offender.tolist()} is outside the distance field by more than one voxel"
-            )
 
         # Flat indices into the C-ordered grid: the lower corner, plus one
         # step per axis to the upper corner (no step on a one-voxel axis).
@@ -269,7 +273,7 @@ class SignedDistanceField:
         c1 = c01 * (1 - fy) + c11 * fy
         out = c0 * (1 - fz) + c1 * fz
 
-        if np.any(bad):
+        if bad is not None:
             out = np.where(bad, np.nan, out)
         return out[0] if scalar else out
 
@@ -325,11 +329,6 @@ def build_sdf(
         dims=dims,
         distance=np.ascontiguousarray(distance, dtype=float),
     )
-
-
-def query_distance(sdf: SignedDistanceField, point) -> float:
-    """Interpolated clearance at a single world point."""
-    return float(sdf.query(np.asarray(point, dtype=float)))
 
 
 @dataclass(frozen=True)

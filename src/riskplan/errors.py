@@ -41,10 +41,6 @@ class FitError(PlannerError):
     """The power-surface fit could not be computed from the given samples."""
 
 
-class ModelDomainError(PlannerError):
-    """The power surface has no physical solution for a queried direction."""
-
-
 class PlanningFailureError(PlannerError):
     """No feasible trajectory could be produced."""
 

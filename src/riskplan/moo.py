@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -369,25 +369,6 @@ def _crowding_from_arrays(objs: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _total_violation(individual: EvaluatedIndividual) -> float:
-    return individual.constraints.total_violation
-
-
-def non_dominated_sort(population: Sequence[EvaluatedIndividual]) -> list[list[int]]:
-    """Fast non-dominated sorting with feasibility-first dominance."""
-    if not population:
-        return []
-    objs = np.array([ind.costs.as_array() for ind in population])
-    viol = np.array([_total_violation(ind) for ind in population])
-    return [front.tolist() for front in _fronts_from_arrays(objs, viol)]
-
-
-def crowding_distance(front: Sequence[EvaluatedIndividual]) -> np.ndarray:
-    if not front:
-        raise ValidationError("crowding_distance needs a nonempty front")
-    return _crowding_from_arrays(np.array([ind.costs.as_array() for ind in front]))
-
-
 # --- variation operators ----------------------------------------------------
 
 
@@ -437,22 +418,6 @@ def _sbx_batch(
     return child_a, child_b
 
 
-def sbx_crossover(
-    a: np.ndarray,
-    b: np.ndarray,
-    bounds: Bounds,
-    rate: float,
-    eta: float,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValidationError("parents must have equal arity")
-    child_a, child_b = _sbx_batch(a[None, :], b[None, :], bounds.lower, bounds.upper, rate, eta, rng)
-    return child_a[0], child_b[0]
-
-
 def _mutation_batch(
     pop: np.ndarray,
     lower: np.ndarray,
@@ -475,13 +440,6 @@ def _mutation_batch(
     deltaq = np.where(low_side, val_low ** (1.0 / exp) - 1.0, 1.0 - val_high ** (1.0 / exp))
     mutated = np.clip(pop + deltaq * span, lower, upper)
     return np.where(apply, mutated, pop)
-
-
-def polynomial_mutation(
-    v: np.ndarray, bounds: Bounds, rate: float, eta: float, rng: np.random.Generator
-) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    return _mutation_batch(v[None, :], bounds.lower, bounds.upper, rate, eta, rng)[0]
 
 
 # --- generational engine ----------------------------------------------------

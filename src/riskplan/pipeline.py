@@ -83,17 +83,17 @@ def build_scenario_environment(scn: Scenario) -> Environment:
 
 def trajectory_timeline(samples: TrajectorySamples, v_floor: float) -> np.ndarray:
     """Cumulative time at each sample, starting at 0."""
-    dt = samples.segment_lengths / np.maximum(samples.speeds[1:], v_floor)
+    dt = costs_mod._segment_times(samples.segment_lengths, samples.speeds, v_floor)
     return np.concatenate([[0.0], np.cumsum(dt)])
 
 
 def trajectory_powers(samples: TrajectorySamples, model: PowerQuadricModel) -> np.ndarray:
-    """Per-sample power draw from the incoming segment direction.
+    """Per-sample power draw from the incoming segment direction, or the
+    hover power where the surface gives none (a zero-length segment).
 
-    The first sample reuses the first segment's direction.
+    The first sample reuses the first segment's power.
     """
-    dirs, _ = costs_mod._segment_directions(samples.positions, samples.segment_lengths)
-    powers, valid = power_for_directions(model, dirs)
+    powers, valid, _ = costs_mod._segment_powers(samples.positions, samples.segment_lengths, model)
     powers = np.where(valid, powers, model.hover_power)
     return np.concatenate([[powers[0]], powers])
 

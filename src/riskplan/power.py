@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FitError, ModelDomainError, ValidationError
+from .errors import FitError, ValidationError
 
 _AXES = np.array(
     [
@@ -53,8 +53,8 @@ class PowerQuadricModel:
     """Coefficients of a*x^2 + b*y^2 + c*z^2 + g*x + h*y + k*z + 1 = 0.
 
     Cross terms are zero by construction. ``hover_power`` is the stored
-    fallback for a zero direction request, where the surface model is
-    undefined.
+    fallback where the surface gives no power, such as the zero direction
+    of a zero-length segment.
     """
 
     a: float
@@ -166,25 +166,6 @@ def power_for_directions(
     powers[quad_ok] = best[quad_ok]
 
     return powers, np.isfinite(powers)
-
-
-def power_for_direction(model: PowerQuadricModel, direction) -> float:
-    """Steady-state power for one unit flight direction.
-
-    A zero vector is a hover request and returns the stored hover power.
-    Raises ModelDomainError when the surface has no positive intersection
-    along the direction.
-    """
-    d = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(d)
-    if norm < 1e-9:
-        return model.hover_power
-    if abs(norm - 1.0) > 1e-6:
-        raise ValidationError(f"direction must be unit length, |d| = {norm}")
-    powers, valid = power_for_directions(model, d[None, :])
-    if not valid[0]:
-        raise ModelDomainError(f"no positive power solution along direction {d.tolist()}")
-    return float(powers[0])
 
 
 def load_power_samples(path) -> list[PowerSample]:

@@ -5,15 +5,16 @@ import pytest
 
 from conftest import asymmetric_model, symmetric_model
 from riskplan.costs import (
+    DEFAULT_V_FLOOR,
     ConstraintReport,
+    _energy_batch,
+    _hull_cost_batch,
+    _safety_batch,
     _segment_directions,
     _segment_lengths,
+    _time_batch,
     check_constraints,
-    energy_cost,
-    hull_point_cost,
-    safety_cost,
     sdf_point_cost,
-    time_cost,
 )
 from riskplan.environment import (
     BoxObstacle,
@@ -48,36 +49,38 @@ PARAMS = SafetyParams(r_sdf_min=1.0, r_sdf_max=5.0, r_ch_max=2.0)
 class TestTimeCost:
     def test_distance_over_speed(self):
         samples = straight_samples(4.0, 3, 2.0)
-        assert time_cost(samples) == pytest.approx(2.0)
+        time = _time_batch(samples.segment_lengths[None], samples.speeds[None], DEFAULT_V_FLOOR)
+        assert time[0] == pytest.approx(2.0)
 
     def test_zero_length_path(self):
         samples = make_samples(np.zeros((3, 3)), np.ones(3))
-        assert time_cost(samples) == 0.0
+        time = _time_batch(samples.segment_lengths[None], samples.speeds[None], DEFAULT_V_FLOOR)
+        assert time[0] == 0.0
 
     def test_segment_end_speed_indexing(self):
         # Two unit segments with speeds [2, 1, 4]: each segment is flown at
         # the speed of its end sample -> 1/1 + 1/4.
         positions = [[0, 0, 0], [1, 0, 0], [2, 0, 0]]
         samples = make_samples(positions, [2.0, 1.0, 4.0])
-        assert time_cost(samples) == pytest.approx(1.25)
+        time = _time_batch(samples.segment_lengths[None], samples.speeds[None], DEFAULT_V_FLOOR)
+        assert time[0] == pytest.approx(1.25)
 
     def test_speed_floor_guards_zero(self):
         positions = [[0, 0, 0], [1, 0, 0]]
         samples = make_samples(positions, [1.0, 0.0])
-        assert time_cost(samples, v_floor=0.1) == pytest.approx(10.0)
+        time = _time_batch(samples.segment_lengths[None], samples.speeds[None], 0.1)
+        assert time[0] == pytest.approx(10.0)
 
 
 class TestSdfPointCost:
     def test_boundaries(self):
-        assert sdf_point_cost(5.0, PARAMS) == 0.0
-        assert sdf_point_cost(1.0, PARAMS) == 1.0
-        assert sdf_point_cost(0.0, PARAMS) == 1.0
-        assert sdf_point_cost(10.0, PARAMS) == 0.0
+        costs = sdf_point_cost(np.array([5.0, 1.0, 0.0, 10.0]), PARAMS)
+        assert np.array_equal(costs, [0.0, 1.0, 1.0, 0.0])
 
     def test_midpoint_value(self):
         # lambda = 1*5/(5-1) = 1.25; at d = 2.5 the shifted branch reads
         # 1.25 * (0.4 - 0.2) = 0.25.
-        assert sdf_point_cost(2.5, PARAMS) == pytest.approx(0.25)
+        assert sdf_point_cost(np.array([2.5]), PARAMS)[0] == pytest.approx(0.25)
 
     def test_continuity_on_dense_grid(self):
         d = np.linspace(0.0, 7.0, 10_000)
@@ -86,18 +89,8 @@ class TestSdfPointCost:
         # jumps at the branch boundaries specifically:
         for boundary in (1.0, 5.0):
             eps = 1e-10
-            left = sdf_point_cost(boundary - eps, PARAMS)
-            right = sdf_point_cost(boundary + eps, PARAMS)
+            left, right = sdf_point_cost(np.array([boundary - eps, boundary + eps]), PARAMS)
             assert abs(left - right) < 1e-9
-
-    def test_strict_branch_is_discontinuous(self):
-        # The unshifted branch disagrees with both outer branches for
-        # these radii; the flag exists to reproduce that behavior.
-        eps = 1e-9
-        inner = sdf_point_cost(1.0 + eps, PARAMS, strict_paper_sdf_branch=True)
-        assert inner == pytest.approx(0.25, abs=1e-6)
-        outer = sdf_point_cost(5.0 - eps, PARAMS, strict_paper_sdf_branch=True)
-        assert outer == pytest.approx(-0.75, abs=1e-6)
 
     def test_monotone_non_increasing(self):
         d = np.linspace(0.0, 8.0, 5000)
@@ -109,23 +102,67 @@ class TestHullPointCost:
     HULL = OrientedHull(center=[0, 0, 0], half_extents=[1, 1, 1], rotation=np.eye(3))
 
     def test_inside(self):
-        assert hull_point_cost([0, 0, 0], [self.HULL], 2.0) == 1.0
+        assert _hull_cost_batch(np.array([[0.0, 0, 0]]), [self.HULL], 2.0)[0] == 1.0
 
     def test_linear_branch(self):
-        assert hull_point_cost([2.0, 0, 0], [self.HULL], 2.0) == pytest.approx(0.5)
+        assert _hull_cost_batch(np.array([[2.0, 0, 0]]), [self.HULL], 2.0)[0] == pytest.approx(0.5)
 
     def test_outside_influence(self):
-        assert hull_point_cost([4.0, 0, 0], [self.HULL], 2.0) == 0.0
+        assert _hull_cost_batch(np.array([[4.0, 0, 0]]), [self.HULL], 2.0)[0] == 0.0
 
     def test_sums_over_hulls(self):
         other = OrientedHull(center=[0.5, 0, 0], half_extents=[1, 1, 1], rotation=np.eye(3))
-        assert hull_point_cost([0.25, 0, 0], [self.HULL, other], 2.0) == pytest.approx(2.0)
+        cost = _hull_cost_batch(np.array([[0.25, 0, 0]]), [self.HULL, other], 2.0)
+        assert cost[0] == pytest.approx(2.0)
 
     def test_continuity_and_zero_iff_clear(self):
         xs = np.linspace(0, 5, 2000)
-        costs = np.array([hull_point_cost([x, 0, 0], [self.HULL], 2.0) for x in xs])
+        points = np.column_stack([xs, np.zeros_like(xs), np.zeros_like(xs)])
+        costs = _hull_cost_batch(points, [self.HULL], 2.0)
         assert np.max(np.abs(np.diff(costs))) < 1e-2
         assert np.all((costs == 0) == (xs >= 3.0))
+
+
+class FixedDistanceHull:
+    """Stand-in hull whose signed distance is a given array."""
+
+    def __init__(self, distances):
+        self.distances = distances
+
+    def signed_distance(self, points):
+        assert points.shape == self.distances.shape + (3,)
+        return self.distances
+
+
+class TestHullCostClamp:
+    """The min/max clamp of the hull cost against the nested-where form."""
+
+    @staticmethod
+    def reference(distance_sets, r_ch_max):
+        total = np.zeros(distance_sets[0].shape)
+        for d in distance_sets:
+            total += np.where(d <= 0, 1.0, np.where(d >= r_ch_max, 0.0, 1.0 - d / r_ch_max))
+        return total
+
+    @staticmethod
+    def distances(seed, r_ch_max):
+        rng = np.random.default_rng(seed)
+        edges = [
+            0.0, -0.0, r_ch_max, np.nextafter(r_ch_max, 0.0), np.nextafter(r_ch_max, np.inf),
+            5e-324, -5e-324, 1e-300, np.nan, np.inf, -np.inf, -r_ch_max, 2.0 * r_ch_max,
+        ]
+        random = rng.uniform(-2.0 * r_ch_max, 3.0 * r_ch_max, 100_000)
+        return np.concatenate([edges, random])
+
+    @pytest.mark.parametrize("r_ch_max", [2.0, 0.7, 1.0 / 3.0], ids=["2", "0.7", "1/3"])
+    def test_bit_identical_to_nested_where(self, r_ch_max):
+        d = self.distances(int(r_ch_max * 1000), r_ch_max)
+        points = np.zeros(d.shape + (3,))
+        for sets in ([d], [d, d[::-1].copy()]):
+            got = _hull_cost_batch(points, [FixedDistanceHull(x) for x in sets], r_ch_max)
+            want = self.reference(sets, r_ch_max)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestSafetyCost:
@@ -135,8 +172,10 @@ class TestSafetyCost:
         env = build_environment(domain, [obstacle], resolution=0.5)
         samples = straight_samples(10.0, 11, 1.0, z=9.0)
         # shift far from the obstacle corner
-        samples = make_samples(samples.positions + np.array([15, 3, 0]), samples.speeds)
-        assert safety_cost(samples, env, PARAMS) == 0.0
+        positions = samples.positions + np.array([15, 3, 0])
+        sdf = sdf_point_cost(env.clearance(positions), PARAMS)
+        hull = _hull_cost_batch(positions, env.hulls, PARAMS.r_ch_max)
+        assert _safety_batch(sdf[None], hull[None], PARAMS.k_a, PARAMS.k_b)[0] == 0.0
 
     def test_constant_field_mean_equals_max(self):
         # Constant per-point cost 0.25 and no hulls: 0.5*(0.25+0.25) = 0.25.
@@ -146,8 +185,10 @@ class TestSafetyCost:
         # plane obstacle below; fly level at constant clearance d = 2.5
         # (distance to occupied voxel centers at z=0.25 -> fly at z=2.75)
         samples = straight_samples(10.0, 21, 1.0, z=2.75)
-        samples = make_samples(samples.positions + np.array([5, 0, 0]), samples.speeds)
-        got = safety_cost(samples, env, PARAMS)
+        positions = samples.positions + np.array([5, 0, 0])
+        sdf = sdf_point_cost(env.clearance(positions), PARAMS)
+        hull = _hull_cost_batch(positions, env.hulls, PARAMS.r_ch_max)
+        got = _safety_batch(sdf[None], hull[None], PARAMS.k_a, PARAMS.k_b)[0]
         assert got == pytest.approx(0.25, abs=1e-9)
 
     def test_upper_bound(self):
@@ -161,9 +202,10 @@ class TestSafetyCost:
         positions = np.column_stack(
             [np.linspace(4.5, 5.5, 9), np.full(9, 5.0), np.full(9, 5.0)]
         )
-        samples = make_samples(positions, np.ones(9))
+        sdf = sdf_point_cost(env.clearance(positions), PARAMS)
+        hull = _hull_cost_batch(positions, env.hulls, PARAMS.r_ch_max)
         bound = PARAMS.k_a * 2 + PARAMS.k_b * 2 * len(hulls)
-        assert safety_cost(samples, env, PARAMS) <= bound
+        assert _safety_batch(sdf[None], hull[None], PARAMS.k_a, PARAMS.k_b)[0] <= bound
 
     def test_reversal_invariance(self):
         domain = DomainBox(min_corner=[0, 0, 0], max_corner=[20, 10, 10], v_max=2.0)
@@ -173,11 +215,11 @@ class TestSafetyCost:
         positions = np.column_stack(
             [np.linspace(2, 18, 15), np.full(15, 7.0), np.full(15, 5.0)]
         )
-        samples = make_samples(positions, np.ones(15))
-        reversed_samples = make_samples(positions[::-1], np.ones(15))
-        assert safety_cost(samples, env, PARAMS) == pytest.approx(
-            safety_cost(reversed_samples, env, PARAMS), abs=1e-12
-        )
+        both = np.stack([positions, positions[::-1]])
+        sdf = sdf_point_cost(env.clearance(both.reshape(-1, 3)), PARAMS).reshape(2, -1)
+        hull_costs = _hull_cost_batch(both, env.hulls, PARAMS.r_ch_max)
+        forward, backward = _safety_batch(sdf, hull_costs, PARAMS.k_a, PARAMS.k_b)
+        assert forward == pytest.approx(backward, abs=1e-12)
 
 
 class TestEnergyCost:
@@ -185,22 +227,35 @@ class TestEnergyCost:
         model = symmetric_model(500.0)
         samples = straight_samples(20.0, 21, 2.0)
         # total time 10 s at 500 W
-        assert energy_cost(samples, model) == pytest.approx(5000.0, rel=1e-9)
+        energy, ok = _energy_batch(
+            samples.positions[None], samples.segment_lengths[None], samples.speeds[None],
+            model, DEFAULT_V_FLOOR,
+        )
+        assert ok.all()
+        assert energy[0] == pytest.approx(5000.0, rel=1e-9)
 
     def test_double_speed_halves_energy(self):
         model = asymmetric_model()
         samples = straight_samples(20.0, 21, 1.0)
-        fast = make_samples(samples.positions, samples.speeds * 2.0)
-        assert energy_cost(fast, model) == pytest.approx(energy_cost(samples, model) / 2.0)
+        positions = np.stack([samples.positions] * 2)
+        speeds = np.stack([samples.speeds, samples.speeds * 2.0])
+        (slow, fast), ok = _energy_batch(
+            positions, _segment_lengths(positions), speeds, model, DEFAULT_V_FLOOR
+        )
+        assert ok.all()
+        assert fast == pytest.approx(slow / 2.0)
 
     def test_ascent_descent_ratio(self):
         model = asymmetric_model()
         n = 11
         zs = np.linspace(0, 10, n)
-        up = make_samples(np.column_stack([np.zeros(n), np.zeros(n), zs]), np.ones(n))
-        down = make_samples(np.column_stack([np.zeros(n), np.zeros(n), zs[::-1]]), np.ones(n))
-        e_up = energy_cost(up, model)
-        e_down = energy_cost(down, model)
+        up = np.column_stack([np.zeros(n), np.zeros(n), zs])
+        down = np.column_stack([np.zeros(n), np.zeros(n), zs[::-1]])
+        positions = np.stack([up, down])
+        (e_up, e_down), ok = _energy_batch(
+            positions, _segment_lengths(positions), np.ones((2, n)), model, DEFAULT_V_FLOOR
+        )
+        assert ok.all()
         assert e_up / e_down == pytest.approx(800.0 / 500.0, rel=1e-6)
 
 
@@ -209,18 +264,23 @@ class TestDoubleSpeedIdentities:
         rng = np.random.default_rng(23)
         positions = np.cumsum(rng.uniform(0.1, 1.0, size=(12, 3)), axis=0)
         speeds = rng.uniform(0.5, 1.0, 12)
-        samples = make_samples(positions, speeds)
-        doubled = make_samples(positions, speeds * 2.0)
-        assert time_cost(doubled) == time_cost(samples) / 2.0
+        lengths = _segment_lengths(positions)
+        time, doubled = _time_batch(
+            np.stack([lengths] * 2), np.stack([speeds, speeds * 2.0]), DEFAULT_V_FLOOR
+        )
+        assert doubled == time / 2.0
 
     def test_energy_halves_exactly(self):
         model = asymmetric_model()
         rng = np.random.default_rng(29)
         positions = np.cumsum(rng.uniform(0.1, 1.0, size=(12, 3)), axis=0)
         speeds = rng.uniform(0.5, 1.0, 12)
-        samples = make_samples(positions, speeds)
-        doubled = make_samples(positions, speeds * 2.0)
-        assert energy_cost(doubled, model) == energy_cost(samples, model) / 2.0
+        both = np.stack([positions] * 2)
+        (energy, doubled), ok = _energy_batch(
+            both, _segment_lengths(both), np.stack([speeds, speeds * 2.0]), model, DEFAULT_V_FLOOR
+        )
+        assert ok.all()
+        assert doubled == energy / 2.0
 
 
 class TestAdditivity:
@@ -229,15 +289,20 @@ class TestAdditivity:
         rng = np.random.default_rng(31)
         positions = np.cumsum(rng.uniform(0.2, 1.0, size=(11, 3)), axis=0)
         speeds = rng.uniform(0.5, 2.0, 11)
-        whole = make_samples(positions, speeds)
-        first = make_samples(positions[:6], speeds[:6])
-        second = make_samples(positions[5:], speeds[5:])
-        assert time_cost(first) + time_cost(second) == pytest.approx(
-            time_cost(whole), rel=1e-12
+        # The two halves share sample 5 and form a batch of two.
+        halves_pos = np.stack([positions[:6], positions[5:]])
+        halves_speed = np.stack([speeds[:6], speeds[5:]])
+        halves_time = _time_batch(_segment_lengths(halves_pos), halves_speed, DEFAULT_V_FLOOR)
+        whole_time = _time_batch(_segment_lengths(positions)[None], speeds[None], DEFAULT_V_FLOOR)
+        assert halves_time.sum() == pytest.approx(whole_time[0], rel=1e-12)
+        halves_energy, halves_ok = _energy_batch(
+            halves_pos, _segment_lengths(halves_pos), halves_speed, model, DEFAULT_V_FLOOR
         )
-        assert energy_cost(first, model) + energy_cost(second, model) == pytest.approx(
-            energy_cost(whole, model), rel=1e-12
+        whole_energy, whole_ok = _energy_batch(
+            positions[None], _segment_lengths(positions)[None], speeds[None], model, DEFAULT_V_FLOOR
         )
+        assert halves_ok.all() and whole_ok.all()
+        assert halves_energy.sum() == pytest.approx(whole_energy[0], rel=1e-12)
 
 
 class TestCheckConstraints:

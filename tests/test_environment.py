@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,6 @@ from riskplan.environment import (
     SignedDistanceField,
     SphereObstacle,
     build_sdf,
-    hull_signed_distance,
-    query_distance,
 )
 from riskplan.errors import CapacityError, OutOfDomainError, ValidationError
 
@@ -76,7 +76,7 @@ class TestBuildSdf:
         sdf = build_sdf([box], domain, resolution=0.5)
         # Occupied voxel centers fill [4.75, 5.25]^3; probing along -x from
         # the face at x=4.5, the point 2 m out sits at x=2.5.
-        d = query_distance(sdf, [2.5, 5.25, 5.25])
+        d = sdf.query(np.array([[2.5, 5.25, 5.25]]))[0]
         assert d == pytest.approx(4.75 - 2.5, abs=0.5)
 
     def test_empty_world_is_sentinel(self):
@@ -93,7 +93,7 @@ class TestBuildSdf:
         domain = DomainBox(min_corner=[0, 0, 0], max_corner=[10, 10, 10], v_max=1.0)
         box = BoxObstacle(min_corner=[4, 4, 4], max_corner=[6, 6, 6])
         sdf = build_sdf([box], domain, resolution=0.5)
-        assert query_distance(sdf, [5.25, 5.25, 5.25]) == 0.0
+        assert sdf.query(np.array([[5.25, 5.25, 5.25]]))[0] == 0.0
 
     def test_capacity_error(self):
         domain = DomainBox(min_corner=[0, 0, 0], max_corner=[10, 10, 10], v_max=1.0)
@@ -131,7 +131,7 @@ class TestQueryDistance:
         domain = DomainBox(min_corner=[0, 0, 0], max_corner=[4, 4, 4], v_max=1.0)
         box = BoxObstacle(min_corner=[1.6, 1.6, 1.6], max_corner=[2.4, 2.4, 2.4])
         sdf = build_sdf([box], domain, resolution=0.5)
-        assert query_distance(sdf, [2.25, 2.25, 2.25]) == 0.0
+        assert sdf.query(np.array([[2.25, 2.25, 2.25]]))[0] == 0.0
 
     def test_midpoint_interpolation(self):
         domain = DomainBox(min_corner=[0, 0, 0], max_corner=[4, 1, 1], v_max=1.0)
@@ -140,7 +140,7 @@ class TestQueryDistance:
         # Along x the grid holds 0, 0.5, 1.0, ...; halfway between the
         # voxels valued 1.0 and 2.0 the interpolation reads 1.5.
         x_voxel_1 = 0.25 + 2 * 0.5  # center with value 1.0
-        d = query_distance(sdf, [x_voxel_1 + 0.25, 0.25, 0.25])
+        d = sdf.query(np.array([[x_voxel_1 + 0.25, 0.25, 0.25]]))[0]
         assert d == pytest.approx(1.25, abs=1e-12)
 
     def test_against_analytic_sphere(self):
@@ -159,9 +159,9 @@ class TestQueryDistance:
         domain = DomainBox(min_corner=[0, 0, 0], max_corner=[4, 4, 4], v_max=1.0)
         sdf = build_sdf([SphereObstacle(center=[2, 2, 2], radius=0.5)], domain, 0.5)
         with pytest.raises(OutOfDomainError):
-            query_distance(sdf, [10.0, 2.0, 2.0])
+            sdf.query(np.array([[10.0, 2.0, 2.0]]))
         # Within one voxel of the border: clamped, no error.
-        query_distance(sdf, [4.3, 2.0, 2.0])
+        sdf.query(np.array([[4.3, 2.0, 2.0]]))
 
     def test_interpolation_is_nearly_lipschitz(self):
         domain = DomainBox(min_corner=[0, 0, 0], max_corner=[12, 12, 12], v_max=1.0)
@@ -184,22 +184,23 @@ class TestQueryDistance:
 class TestOrientedHull:
     def test_axis_aligned_outside(self):
         hull = OrientedHull(center=[0, 0, 0], half_extents=[1, 1, 1], rotation=np.eye(3))
-        assert hull_signed_distance(hull, [3, 0, 0]) == pytest.approx(2.0)
+        assert hull.signed_distance(np.array([[3.0, 0, 0]]))[0] == pytest.approx(2.0)
 
     def test_inside_depth(self):
         hull = OrientedHull(center=[0, 0, 0], half_extents=[1, 1, 1], rotation=np.eye(3))
-        assert hull_signed_distance(hull, [0, 0, 0]) == pytest.approx(-1.0)
+        assert hull.signed_distance(np.zeros((1, 3)))[0] == pytest.approx(-1.0)
 
     def test_rotated_hull(self):
         hull = OrientedHull(
             center=[0, 0, 0], half_extents=[2, 1, 1], rotation=rotation_z(np.pi / 2)
         )
         # The long axis now points along world y; (0, 3, 0) is 1 m past it.
-        assert hull_signed_distance(hull, [0, 3, 0]) == pytest.approx(1.0, abs=1e-12)
+        d = hull.signed_distance(np.array([[0.0, 3, 0]]))[0]
+        assert d == pytest.approx(1.0, abs=1e-12)
 
     def test_corner_distance(self):
         hull = OrientedHull(center=[0, 0, 0], half_extents=[1, 1, 1], rotation=np.eye(3))
-        assert hull_signed_distance(hull, [2, 2, 2]) == pytest.approx(np.sqrt(3.0))
+        assert hull.signed_distance(np.array([[2.0, 2, 2]]))[0] == pytest.approx(np.sqrt(3.0))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -218,8 +219,8 @@ class TestOrientedHull:
             half_extents=hull.half_extents,
             rotation=q @ hull.rotation,
         )
-        d0 = hull_signed_distance(hull, point)
-        d1 = hull_signed_distance(moved, q @ point + t)
+        d0 = hull.signed_distance(point[None])[0]
+        d1 = moved.signed_distance((q @ point + t)[None])[0]
         assert d1 == pytest.approx(d0, abs=1e-9)
 
     @settings(max_examples=50, deadline=None)
@@ -233,7 +234,7 @@ class TestOrientedHull:
         point = rng.uniform(-4, 4, 3)
         local = rot.T @ (point - hull.center)
         inside = bool(np.all(np.abs(local) <= hull.half_extents))
-        assert (hull_signed_distance(hull, point) <= 0) == inside
+        assert (hull.signed_distance(point[None])[0] <= 0) == inside
 
     def test_rotation_validation(self):
         with pytest.raises(ValidationError):
@@ -371,3 +372,52 @@ class TestPerAxisKernels:
             assert np.array_equal(
                 hull.signed_distance(pts[0]), reference_hull_distance(hull, pts[0])
             )
+
+
+class TestNonFiniteQuery:
+    """A point with a NaN coordinate is out of range, like one far outside."""
+
+    CASES = {
+        "x": [[np.nan, 3.0, 2.0]],
+        "y": [[4.0, np.nan, 2.0]],
+        "z": [[4.0, 3.0, np.nan]],
+        "xyz": [[np.nan, np.nan, np.nan]],
+        "mixed": [
+            [4.0, 3.0, 2.0],
+            [np.nan, 3.0, 2.0],
+            [1.0, 7.5, 0.5],
+            [4.0, 3.0, np.nan],
+            [np.inf, 3.0, 2.0],
+            [11.9, 0.1, 3.9],
+            [4.0, np.nan, np.nan],
+        ],
+    }
+
+    @staticmethod
+    def field() -> SignedDistanceField:
+        # The corridor's grid shape, 48 x 32 x 16 voxels, here of 0.25 m.
+        rng = np.random.default_rng(9)
+        return SignedDistanceField(
+            origin=np.zeros(3), resolution=0.25, dims=(48, 32, 16),
+            distance=rng.uniform(0, 5, (48, 32, 16)),
+        )
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_raise_mode(self, case):
+        sdf = self.field()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfDomainError):
+                sdf.query(np.array(self.CASES[case]))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_nan_mode(self, case):
+        sdf = self.field()
+        pts = np.array(self.CASES[case])
+        good = np.all(np.isfinite(pts), axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sdf.query(pts, out_of_range="nan")
+        assert got.shape == (len(pts),)
+        assert np.all(np.isnan(got[~good]))
+        assert np.array_equal(got[good], sdf.query(pts[good]))

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import asymmetric_model, make_corridor_scenario
-from riskplan.costs import ConstraintReport, CostVector
 from riskplan.environment import DomainBox, SafetyParams, build_environment
 from riskplan.errors import DecodeError, ValidationError
 from riskplan.moo import (
-    Bounds,
-    EvaluatedIndividual,
     MooParams,
     _crowding_from_arrays,
     _fronts_from_arrays,
@@ -17,52 +14,37 @@ from riskplan.moo import (
     _sbx_batch,
     _select_survivors,
     build_bounds,
-    crowding_distance,
     decision_arity,
     decode,
     encode,
     evaluate,
     make_context,
-    non_dominated_sort,
     nsga2_minimize,
-    polynomial_mutation,
     run_nsga2,
-    sbx_crossover,
 )
 from riskplan.nurbs import sample_uniform
 from riskplan.pipeline import plan
 from riskplan.seeding import SeedingParams, initial_population
 
 
-def make_individual(costs, accel=0.0, collision=0.0, decision=None):
-    return EvaluatedIndividual(
-        decision=np.zeros(2) if decision is None else decision,
-        costs=CostVector(*costs),
-        constraints=ConstraintReport(max_accel_violation=accel, collision_violation=collision),
-    )
-
-
-def brute_force_fronts(population):
+def brute_force_fronts(objs, violations):
     """Oracle: repeatedly peel the non-dominated subset, O(n^2) pairwise."""
 
     def dominates(a, b):
-        fa, fb = a.constraints.feasible, b.constraints.feasible
+        fa, fb = violations[a] <= 0.0, violations[b] <= 0.0
         if fa and not fb:
             return True
         if not fa and not fb:
-            return a.constraints.total_violation < b.constraints.total_violation
+            return violations[a] < violations[b]
         if not fa:
             return False
-        ca, cb = a.costs.as_array(), b.costs.as_array()
-        return bool(np.all(ca <= cb) and np.any(ca < cb))
+        return bool(np.all(objs[a] <= objs[b]) and np.any(objs[a] < objs[b]))
 
-    remaining = list(range(len(population)))
+    remaining = list(range(len(objs)))
     fronts = []
     while remaining:
         front = [
-            i
-            for i in remaining
-            if not any(dominates(population[j], population[i]) for j in remaining if j != i)
+            i for i in remaining if not any(dominates(j, i) for j in remaining if j != i)
         ]
         fronts.append(front)
         remaining = [i for i in remaining if i not in front]
@@ -124,40 +106,37 @@ class TestDecisionVector:
 
 class TestNonDominatedSort:
     def test_simple_domination(self):
-        a = make_individual([1, 1, 1])
-        b = make_individual([2, 2, 2])
-        assert non_dominated_sort([a, b]) == [[0], [1]]
+        objs = np.array([[1, 1, 1], [2, 2, 2]], dtype=float)
+        fronts = _fronts_from_arrays(objs, np.zeros(2))
+        assert [f.tolist() for f in fronts] == [[0], [1]]
 
     def test_mutually_non_dominated(self):
-        pop = [
-            make_individual([1, 3, 2]),
-            make_individual([2, 1, 3]),
-            make_individual([3, 2, 1]),
-        ]
-        assert non_dominated_sort(pop) == [[0, 1, 2]]
+        objs = np.array([[1, 3, 2], [2, 1, 3], [3, 2, 1]], dtype=float)
+        fronts = _fronts_from_arrays(objs, np.zeros(3))
+        assert [f.tolist() for f in fronts] == [[0, 1, 2]]
 
     def test_feasible_dominates_infeasible(self):
-        a = make_individual([100, 100, 100])
-        b = make_individual([1, 1, 1], collision=0.5)
-        assert non_dominated_sort([a, b]) == [[0], [1]]
+        objs = np.array([[100, 100, 100], [1, 1, 1]], dtype=float)
+        fronts = _fronts_from_arrays(objs, np.array([0.0, 0.5]))
+        assert [f.tolist() for f in fronts] == [[0], [1]]
 
     def test_infeasible_ordered_by_violation(self):
-        a = make_individual([1, 1, 1], collision=2.0)
-        b = make_individual([9, 9, 9], accel=0.5)
-        assert non_dominated_sort([a, b]) == [[1], [0]]
+        objs = np.array([[1, 1, 1], [9, 9, 9]], dtype=float)
+        fronts = _fronts_from_arrays(objs, np.array([2.0, 0.5]))
+        assert [f.tolist() for f in fronts] == [[1], [0]]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(5, 64))
-        pop = []
-        for _ in range(n):
-            costs = rng.integers(0, 6, 3).astype(float)  # ties likely
+        objs = np.empty((n, 3))
+        viol = np.zeros(n)
+        for i in range(n):
+            objs[i] = rng.integers(0, 6, 3)  # ties likely
             infeasible = rng.random() < 0.3
-            viol = float(rng.integers(1, 4)) if infeasible else 0.0
-            pop.append(make_individual(costs, collision=viol))
-        got = [sorted(f) for f in non_dominated_sort(pop)]
-        want = [sorted(f) for f in brute_force_fronts(pop)]
+            viol[i] = float(rng.integers(1, 4)) if infeasible else 0.0
+        got = [sorted(f.tolist()) for f in _fronts_from_arrays(objs, viol)]
+        want = [sorted(f) for f in brute_force_fronts(objs, viol)]
         assert got == want
 
 
@@ -223,51 +202,36 @@ class TestEarlyStopSort:
 
 class TestCrowdingDistance:
     def test_small_front_all_infinite(self):
-        front = [make_individual([1, 2, 3]), make_individual([3, 2, 1])]
-        assert np.all(np.isinf(crowding_distance(front)))
+        objs = np.array([[1, 2, 3], [3, 2, 1]], dtype=float)
+        assert np.all(np.isinf(_crowding_from_arrays(objs)))
 
     def test_line_in_two_objectives(self):
         # Three equally spaced points along a line in the (time, safety)
         # plane, energy constant: the middle point accumulates one full
         # normalized gap per varying objective.
-        front = [
-            make_individual([0.0, 0.0, 5.0]),
-            make_individual([1.0, 1.0, 5.0]),
-            make_individual([2.0, 2.0, 5.0]),
-        ]
-        d = crowding_distance(front)
+        objs = np.array([[0.0, 0.0, 5.0], [1.0, 1.0, 5.0], [2.0, 2.0, 5.0]])
+        d = _crowding_from_arrays(objs)
         assert np.isinf(d[0]) and np.isinf(d[2])
         assert d[1] == pytest.approx(2.0)
 
     def test_interior_duplicates_get_zero(self):
-        front = [
-            make_individual([0.0, 0.0, 0.0]),
-            make_individual([1.0, 1.0, 1.0]),
-            make_individual([1.0, 1.0, 1.0]),
-            make_individual([1.0, 1.0, 1.0]),
-            make_individual([2.0, 2.0, 2.0]),
-        ]
-        d = crowding_distance(front)
+        objs = np.array([[0.0] * 3, [1.0] * 3, [1.0] * 3, [1.0] * 3, [2.0] * 3])
+        d = _crowding_from_arrays(objs)
         assert d[2] == 0.0
 
 
 class TestVariationOperators:
-    def _bounds(self, d=8):
-        return Bounds(lower=np.zeros(d), upper=np.ones(d), n_interior=0)
-
     def test_sbx_rate_zero_copies(self):
         rng = np.random.default_rng(0)
-        bounds = self._bounds()
         a, b = rng.random(8), rng.random(8)
-        c1, c2 = sbx_crossover(a, b, bounds, rate=0.0, eta=10, rng=rng)
-        assert np.array_equal(c1, a) and np.array_equal(c2, b)
+        c1, c2 = _sbx_batch(a[None], b[None], np.zeros(8), np.ones(8), rate=0.0, eta=10, rng=rng)
+        assert np.array_equal(c1[0], a) and np.array_equal(c2[0], b)
 
     def test_sbx_identical_parents(self):
         rng = np.random.default_rng(1)
-        bounds = self._bounds()
         a = rng.random(8)
-        c1, c2 = sbx_crossover(a, a.copy(), bounds, rate=1.0, eta=10, rng=rng)
-        assert np.array_equal(c1, a) and np.array_equal(c2, a)
+        c1, c2 = _sbx_batch(a[None], a[None], np.zeros(8), np.ones(8), rate=1.0, eta=10, rng=rng)
+        assert np.array_equal(c1[0], a) and np.array_equal(c2[0], a)
 
     def test_sbx_children_within_bounds_bulk(self):
         rng = np.random.default_rng(2)
@@ -280,9 +244,8 @@ class TestVariationOperators:
 
     def test_mutation_rate_zero_identity(self):
         rng = np.random.default_rng(3)
-        bounds = self._bounds()
         v = rng.random(8)
-        assert np.array_equal(polynomial_mutation(v, bounds, 0.0, 20, rng), v)
+        assert np.array_equal(_mutation_batch(v[None], np.zeros(8), np.ones(8), 0.0, 20, rng)[0], v)
 
     def test_mutation_within_bounds_bulk(self):
         rng = np.random.default_rng(4)
@@ -358,7 +321,9 @@ class TestRunNsga2:
         assert len(front) >= 2
         for ind in front:
             assert ind.constraints.feasible
-        assert non_dominated_sort(front) == [list(range(len(front)))]
+        objs = np.array([ind.costs.as_array() for ind in front])
+        viol = np.array([ind.constraints.total_violation for ind in front])
+        assert [f.tolist() for f in _fronts_from_arrays(objs, viol)] == [list(range(len(front)))]
 
     def test_front_objectives_deduplicated(self, corridor_run):
         _, result = corridor_run

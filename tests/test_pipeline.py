@@ -69,6 +69,16 @@ class TestPlanOutputs:
         assert np.array_equal(result.samples.positions, positions[selected])
         assert np.array_equal(result.samples.speeds, speeds[selected])
 
+    def test_emitted_timeline_and_powers_match_scored_costs(self, planned):
+        # The emitted timeline and power profile share the segment-time and
+        # segment-power helpers with the time and energy kernels.
+        _, result, _ = planned
+        member = result.front[result.selected_index]
+        times, powers = result.sample_times, result.sample_powers
+        assert times[-1] == pytest.approx(member.costs.time_s, rel=1e-12)
+        energy = np.sum(powers[1:] * np.diff(times))
+        assert energy == pytest.approx(member.costs.energy_j, rel=1e-12)
+
     def test_emitted_trajectory_satisfies_constraints(self, planned):
         scn, result, _ = planned
         env = result.context.env

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import AXIS_DIRECTIONS, asymmetric_model, axis_samples, symmetric_model
-from riskplan.errors import FitError, ModelDomainError, ValidationError
+from riskplan.errors import FitError, ValidationError
+from riskplan.nurbs import TrajectorySamples
+from riskplan.pipeline import trajectory_powers
 from riskplan.power import (
     PowerQuadricModel,
     PowerSample,
     fit_quadric,
     load_power_samples,
-    power_for_direction,
     power_for_directions,
 )
 
@@ -92,33 +93,40 @@ class TestPowerForDirection:
         p0 = 500.0
         model = symmetric_model(p0)
         rng = np.random.default_rng(2)
-        for d in random_unit_vectors(rng, 200):
-            assert power_for_direction(model, d) == pytest.approx(p0, rel=1e-9)
+        values, valid = power_for_directions(model, random_unit_vectors(rng, 200))
+        assert valid.all()
+        assert values == pytest.approx(p0, rel=1e-9)
 
     def test_anchor_reproduction(self):
         model = asymmetric_model()
-        for sample in axis_samples():
-            got = power_for_direction(model, sample.direction)
-            assert got == pytest.approx(sample.power, rel=1e-6)
+        values, valid = power_for_directions(model, AXIS_DIRECTIONS)
+        assert valid.all()
+        assert values == pytest.approx([s.power for s in axis_samples()], rel=1e-6)
 
     def test_descent_anchor(self):
         model = asymmetric_model()
-        assert power_for_direction(model, [0, 0, -1]) == pytest.approx(500.0, rel=1e-6)
+        values, _ = power_for_directions(model, np.array([[0.0, 0, -1]]))
+        assert values[0] == pytest.approx(500.0, rel=1e-6)
 
     def test_hover_returns_stored_mean(self):
+        # A zero-length segment has no direction, so the emitted power
+        # profile falls back to the stored hover power there.
         model = asymmetric_model()
-        assert power_for_direction(model, [0.0, 0.0, 0.0]) == pytest.approx(
-            np.mean([600, 600, 600, 600, 800, 500])
+        positions = np.array([[1.0, 2, 3], [2, 2, 3], [2, 2, 3], [2, 2, 4]])
+        samples = TrajectorySamples(
+            positions=positions,
+            speeds=np.ones(4),
+            segment_lengths=np.array([1.0, 0.0, 1.0]),
+            param_values=np.linspace(0, 1, 4),
         )
-
-    def test_non_unit_direction_rejected(self):
-        model = symmetric_model()
-        with pytest.raises(ValidationError):
-            power_for_direction(model, [1.0, 1.0, 0.0])
+        hover = np.mean([600, 600, 600, 600, 800, 500])
+        assert model.hover_power == pytest.approx(hover)
+        powers = trajectory_powers(samples, model)
+        assert powers == pytest.approx([600.0, 600.0, hover, 800.0], rel=1e-6)
 
     def test_root_validity_random_models(self):
         # Physically plausible random calibrations: every query returns a
-        # positive finite power or raises; never NaN.
+        # positive finite power or is flagged invalid with NaN.
         rng = np.random.default_rng(7)
         for _ in range(20):
             powers = rng.uniform(300, 1500, 6)
@@ -127,9 +135,7 @@ class TestPowerForDirection:
             values, valid = power_for_directions(model, dirs)
             assert np.all(np.isfinite(values[valid]))
             assert np.all(values[valid] > 0)
-            for d in dirs[~valid]:
-                with pytest.raises(ModelDomainError):
-                    power_for_direction(model, d)
+            assert np.all(np.isnan(values[~valid]))
 
     def test_continuity(self):
         # Power varies by < 1% between directions 0.1 degrees apart.
@@ -137,21 +143,24 @@ class TestPowerForDirection:
         rng = np.random.default_rng(13)
         angle = np.deg2rad(0.1)
         # small-angle rotation via the Rodrigues formula
+        dirs, rotated = [], []
         for d in random_unit_vectors(rng, 300):
             axis = np.cross(d, rng.standard_normal(3))
             norm = np.linalg.norm(axis)
             if norm < 1e-12:
                 continue
             axis /= norm
-            rotated = (
+            r = (
                 d * np.cos(angle)
                 + np.cross(axis, d) * np.sin(angle)
                 + axis * (axis @ d) * (1 - np.cos(angle))
             )
-            rotated /= np.linalg.norm(rotated)
-            p1 = power_for_direction(model, d)
-            p2 = power_for_direction(model, rotated)
-            assert abs(p2 - p1) / p1 < 0.01
+            dirs.append(d)
+            rotated.append(r / np.linalg.norm(r))
+        p1, valid1 = power_for_directions(model, np.array(dirs))
+        p2, valid2 = power_for_directions(model, np.array(rotated))
+        assert valid1.all() and valid2.all()
+        assert np.all(np.abs(p2 - p1) / p1 < 0.01)
 
     def test_scaling_covariance(self):
         # Scaling all calibration powers by s scales every prediction by s.
@@ -160,10 +169,11 @@ class TestPowerForDirection:
         s = 2.75
         model_1 = fit_quadric(axis_samples(base_powers))
         model_s = fit_quadric(axis_samples([p * s for p in base_powers]))
-        for d in random_unit_vectors(rng, 200):
-            p1 = power_for_direction(model_1, d)
-            ps = power_for_direction(model_s, d)
-            assert ps == pytest.approx(s * p1, rel=1e-9)
+        dirs = random_unit_vectors(rng, 200)
+        p1, valid = power_for_directions(model_1, dirs)
+        ps, _ = power_for_directions(model_s, dirs)
+        assert valid.all()
+        assert ps == pytest.approx(s * p1, rel=1e-9)
 
 
 def reference_powers(model, directions):

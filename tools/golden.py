@@ -1,0 +1,91 @@
+"""Print the sha256 of the byte-stable result files for a fixed set of runs.
+
+A refactor that must keep every result byte the same is checked by running
+this script on two checkouts and diffing the output:
+
+    python3 tools/golden.py /path/to/parent-checkout > before.txt
+    python3 tools/golden.py > after.txt
+    diff before.txt after.txt
+
+The optional argument is the checkout whose ``src/``, ``scenarios/`` and
+``perfbench/city.py`` are used (default: the one holding this script), so
+the script also runs against a commit that predates it. BLAS and OpenMP are
+pinned to one thread before numpy loads.
+
+The set:
+- ``scenarios/corridor.json`` at rng seeds 7 and 8 (its 1000 generations):
+  ``pareto.json``, ``trajectory.csv``, ``generations.csv``;
+- the ``perfbench/city.py`` worlds 7 and 8: the same three files;
+- the corridor with 100 generations, seeds 7 and 8: ``sweep.csv`` of the
+  ``coefficients`` sweep at spacing 0.02 and of the ``replan`` wind sweep
+  at step 0.25.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+PLAN_FILES = ("pareto.json", "trajectory.csv", "generations.csv")
+SEEDS = (7, 8)
+SWEEP_N_GEN = 100
+SWEEPS = {
+    "coefficients": ({"kind": "coefficients", "spacing": 0.02}, False),
+    "replan-wind": ({"kind": "risk", "axis": "wind", "step": 0.25}, True),
+}
+
+
+def _digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "root", nargs="?", default=str(Path(__file__).resolve().parents[1]),
+        help="checkout to run (default: this script's repository)",
+    )
+    root = Path(parser.parse_args(argv).root).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+
+    import city
+    from riskplan.pipeline import plan, sweep
+    from riskplan.scenario import load_scenario, scenario_from_dict
+
+    scenarios = root / "scenarios"
+    corridor = load_scenario(scenarios / "corridor.json")
+    data = json.loads((scenarios / "corridor.json").read_text())
+    data["hyperparams"]["n_gen"] = SWEEP_N_GEN
+    short = scenario_from_dict(data, base_dir=scenarios, name="corridor-sweep")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        for seed in SEEDS:
+            city_data, _ = city.city_scenario(seed)
+            runs = {
+                f"corridor-{seed}": replace(corridor, rng_seed=seed),
+                f"city-{seed}": scenario_from_dict(city_data, base_dir=scenarios, name="city"),
+            }
+            for label, scn in runs.items():
+                plan(scn, out_dir=out / label)
+                for name in PLAN_FILES:
+                    print(f"{_digest(out / label / name)}  {label}/{name}", flush=True)
+        for label, (spec, replan) in SWEEPS.items():
+            for seed in SEEDS:
+                run = f"sweep-{label}-{seed}"
+                sweep(replace(short, rng_seed=seed), spec, out_dir=out / run, replan=replan)
+                print(f"{_digest(out / run / 'sweep.csv')}  {run}/sweep.csv", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
