@@ -25,7 +25,6 @@ from .moo import (
     EvaluationContext,
     MooParams,
     decode,
-    encode,
     evaluate,
     make_context,
     run_nsga2,
@@ -68,7 +67,6 @@ __all__ = [
     "build_environment",
     "build_sdf",
     "decode",
-    "encode",
     "evaluate",
     "find_seed_path",
     "fit_quadric",

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +38,9 @@ def _parse_risks(text: str) -> RiskState:
 
 def _cmd_plan(args) -> int:
     scn = load_scenario(args.scenario)
-    from dataclasses import replace
-
     if args.seed is not None:
+        if args.seed < 0:
+            raise ValidationError(f"--seed: must be a non-negative integer, got {args.seed}")
         scn = replace(scn, rng_seed=args.seed)
     if args.risks is not None:
         scn = replace(scn, risks=_parse_risks(args.risks))
@@ -70,11 +71,7 @@ def _cmd_vote(args) -> int:
             "k_safety": weights.k_safety,
             "k_energy": weights.k_energy,
         },
-        "costs": {
-            "time_s": front[index].costs.time_s,
-            "safety": front[index].costs.safety,
-            "energy_j": front[index].costs.energy_j,
-        },
+        "costs": asdict(front[index].costs),
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK

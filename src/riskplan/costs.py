@@ -4,10 +4,11 @@ constraints (tangential acceleration, collision clearance).
 Each formula has one batch kernel over arrays with a leading population
 axis: positions (N, Q, 3), speeds (N, Q) and segment lengths (N, Q-1).
 ``moo.evaluate_batch`` scores whole generations with them, and a single
-trajectory is a batch of one. ``check_constraints`` takes one
-``TrajectorySamples`` for the emission re-check, and ``pipeline`` builds the
-emitted timeline and power profile from ``_segment_times`` and
-``_segment_powers``, the helpers the time and energy kernels use.
+trajectory is a batch of one. ``check_constraints`` runs the two constraint
+kernels on one ``TrajectorySamples`` (seed check, emission re-check); it
+takes no speed floor, as the acceleration term reads the raw speeds.
+``pipeline`` builds the emitted timeline and power profile from
+``_segment_times`` and ``_segment_powers``, the time and energy kernels' helpers.
 
 Kernels over sample points follow the per-axis rule of ``environment``: they
 read (..., 3) positions as three columns and write sums of squares as
@@ -47,10 +48,6 @@ class ConstraintReport:
     @property
     def feasible(self) -> bool:
         return self.max_accel_violation == 0.0 and self.collision_violation == 0.0
-
-    @property
-    def total_violation(self) -> float:
-        return self.max_accel_violation + self.collision_violation
 
 
 def _segment_lengths(positions: np.ndarray) -> np.ndarray:
@@ -171,14 +168,8 @@ def check_constraints(
     env: Environment,
     a_max: float,
     r_uav: float,
-    v_floor: float = DEFAULT_V_FLOOR,
 ) -> ConstraintReport:
-    """Hard-limit check for one trajectory.
-
-    v_floor is part of the shared cost interface; the acceleration
-    estimate itself uses the raw sampled speeds.
-    """
-    del v_floor
+    """Hard-limit check for one trajectory."""
     accel = _accel_violation_batch(samples.segment_lengths[None, :], samples.speeds[None, :], a_max)
     d_obs = env.clearance(samples.positions)
     collision = _collision_violation_batch(d_obs[None, :], r_uav)

@@ -30,7 +30,10 @@ DEFAULT_MAX_VOXELS = 20_000_000
 
 
 def _vec3(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a 3-vector of numbers, got {value!r}") from None
     if arr.shape != (3,):
         raise ValidationError(f"{name} must be a 3-vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):

@@ -2,16 +2,19 @@
 
 The design vector fixes start and goal (positions and speeds) and exposes
 [w_0, then per interior control point: x, y, z, speed, w, then w_n].
-``_layout_views`` is the only code that knows this layout, and
-``_control_net`` turns decisions into control nets for both ``decode`` and
-the batch path. A population is sampled by ``nurbs.rational_blend`` at the
-context's precomputed basis rows, the same evaluator ``nurbs.sample_uniform``
-uses, so a decoded member samples to exactly the points that were scored.
-Constraint handling is the feasibility-first dominance rule: feasible beats
-infeasible, infeasible compare on total violation.
+``_layout_views`` is the only code that knows this layout: ``build_bounds``
+writes the box bounds through its views, ``seeding`` the seed vector and the
+population noise, and ``_control_net`` reads them into control nets for both
+``decode`` and the batch path. A population is sampled by
+``nurbs.rational_blend`` at the context's precomputed basis rows, the same
+evaluator ``nurbs.sample_uniform`` uses, so a decoded member samples to
+exactly the points that were scored. Constraint handling is the
+feasibility-first dominance rule: feasible beats infeasible, infeasible
+compare on total violation. Ranking is by front, then by crowding distance
+(Deb et al. 2002), in one loop, ``_rank_and_crowding``.
 
-The generational loop works on plain arrays for speed; dataclass wrappers
-are built only for results crossing the module boundary.
+The generational loop works on plain arrays for speed; ``make_individual``
+builds the dataclass members that cross the module boundary.
 """
 
 from __future__ import annotations
@@ -60,23 +63,12 @@ def _layout_views(decisions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return decisions[..., :: arity - 1], rows
 
 
-def decision_layout(n_interior: int) -> dict:
-    """Index arrays for the three variable kinds in the flat layout."""
-    ends, rows = _layout_views(np.arange(decision_arity(n_interior)))
-    return {
-        "position": rows[:, :3].ravel(),
-        "speed": rows[:, 3],
-        "weight": np.concatenate([ends[:1], rows[:, 4], ends[1:]]),
-    }
-
-
 @dataclass(frozen=True)
 class Bounds:
     """Per-entry box bounds for a decision vector of fixed arity."""
 
     lower: np.ndarray
     upper: np.ndarray
-    n_interior: int
 
     def __post_init__(self):
         if self.lower.shape != self.upper.shape:
@@ -94,17 +86,18 @@ def build_bounds(
     v_floor: float = costs_mod.DEFAULT_V_FLOOR,
     weight_bounds: tuple = DEFAULT_WEIGHT_BOUNDS,
 ) -> Bounds:
-    layout = decision_layout(n_interior)
-    arity = decision_arity(n_interior)
-    lower = np.empty(arity)
-    upper = np.empty(arity)
-    lower[layout["position"]] = np.tile(domain.min_corner, n_interior)
-    upper[layout["position"]] = np.tile(domain.max_corner, n_interior)
-    lower[layout["speed"]] = v_floor
-    upper[layout["speed"]] = domain.v_max
-    lower[layout["weight"]] = weight_bounds[0]
-    upper[layout["weight"]] = weight_bounds[1]
-    return Bounds(lower=lower, upper=upper, n_interior=n_interior)
+    lower = np.empty(decision_arity(n_interior))
+    upper = np.empty_like(lower)
+    for bound, corner, speed, weight in (
+        (lower, domain.min_corner, v_floor, weight_bounds[0]),
+        (upper, domain.max_corner, domain.v_max, weight_bounds[1]),
+    ):
+        ends, rows = _layout_views(bound)
+        ends[:] = weight
+        rows[:, :3] = corner
+        rows[:, 3] = speed
+        rows[:, 4] = weight
+    return Bounds(lower=lower, upper=upper)
 
 
 def decode(
@@ -143,15 +136,6 @@ def _control_net(
     return ctrl, weights
 
 
-def encode(curve: NurbsCurve4D) -> np.ndarray:
-    """Inverse of decode for the free entries (endpoints are dropped)."""
-    decision = np.empty(decision_arity(len(curve.control_points) - 2))
-    ends, rows = _layout_views(decision)
-    ends[:] = curve.weights[[0, -1]]
-    rows[:] = np.column_stack([curve.control_points[1:-1], curve.weights[1:-1]])
-    return decision
-
-
 @dataclass(frozen=True)
 class EvaluatedIndividual:
     decision: np.ndarray
@@ -161,6 +145,18 @@ class EvaluatedIndividual:
     @property
     def feasible(self) -> bool:
         return self.constraints.feasible
+
+
+def make_individual(decision, cost_row, violation_row) -> EvaluatedIndividual:
+    """A front member from its decision vector, (time, safety, energy) costs
+    and (acceleration, collision) violations; values are copied as floats."""
+    time_s, safety, energy_j = (float(v) for v in cost_row)
+    accel, collision = (float(v) for v in violation_row)
+    return EvaluatedIndividual(
+        decision=np.array(decision, dtype=float),
+        costs=CostVector(time_s=time_s, safety=safety, energy_j=energy_j),
+        constraints=ConstraintReport(max_accel_violation=accel, collision_violation=collision),
+    )
 
 
 @dataclass(frozen=True)
@@ -299,13 +295,7 @@ def evaluate(decision: np.ndarray, ctx: EvaluationContext) -> EvaluatedIndividua
     """Score one decision vector (thin wrapper over the batch path)."""
     decision = np.asarray(decision, dtype=float)
     cost_arr, viol = evaluate_batch(decision[None, :], ctx)
-    return EvaluatedIndividual(
-        decision=decision.copy(),
-        costs=CostVector(*(float(v) for v in cost_arr[0])),
-        constraints=ConstraintReport(
-            max_accel_violation=float(viol[0, 0]), collision_violation=float(viol[0, 1])
-        ),
-    )
+    return make_individual(decision, cost_arr[0], viol[0])
 
 
 # --- non-dominated sorting and crowding -----------------------------------
@@ -452,14 +442,19 @@ class GenerationStats:
     best: tuple
 
 
-def _rank_and_crowding(objs: np.ndarray, violations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    fronts = _fronts_from_arrays(objs, violations)
+def _rank_and_crowding(
+    objs: np.ndarray, violations: np.ndarray, n_required: Optional[int] = None
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Fronts, front rank and crowding distance per member. With
+    ``n_required`` only the fronts of ``_fronts_from_arrays(..., n_required)``
+    are ranked; the entries of the other members are undefined."""
+    fronts = _fronts_from_arrays(objs, violations, n_required)
     ranks = np.empty(len(objs), dtype=int)
     crowd = np.empty(len(objs))
     for rank, front in enumerate(fronts):
         ranks[front] = rank
         crowd[front] = _crowding_from_arrays(objs[front])
-    return ranks, crowd
+    return fronts, ranks, crowd
 
 
 def _tournament(ranks: np.ndarray, crowd: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -475,23 +470,14 @@ def _tournament(ranks: np.ndarray, crowd: np.ndarray, rng: np.random.Generator) 
 def _select_survivors(
     objs: np.ndarray, violations: np.ndarray, n_survivors: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Environmental selection: whole fronts, last one trimmed by crowding."""
-    fronts = _fronts_from_arrays(objs, violations, n_survivors)
-    chosen = []
-    ranks = np.empty(len(objs), dtype=int)
-    crowd = np.empty(len(objs))
-    for rank, front in enumerate(fronts):
-        ranks[front] = rank
-        crowd[front] = _crowding_from_arrays(objs[front])
-        if len(chosen) + len(front) <= n_survivors:
-            chosen.extend(front.tolist())
-        else:
-            remaining = n_survivors - len(chosen)
-            order = np.argsort(-crowd[front], kind="stable")
-            chosen.extend(front[order[:remaining]].tolist())
-        if len(chosen) >= n_survivors:
-            break
-    idx = np.array(chosen, dtype=int)
+    """Environmental selection: whole fronts in index order, the last one
+    trimmed by crowding only when it does not fit whole."""
+    fronts, ranks, crowd = _rank_and_crowding(objs, violations, n_survivors)
+    *whole, last = fronts
+    remaining = n_survivors - sum(len(front) for front in whole)
+    if len(last) > remaining:
+        last = last[np.argsort(-crowd[last], kind="stable")[:remaining]]
+    idx = np.concatenate([*whole, last])
     return idx, ranks[idx], crowd[idx]
 
 
@@ -522,7 +508,7 @@ def nsga2_minimize(
         mutation_rate = 1.0 / pop.shape[1]
 
     scores = batch_evaluate(pop)
-    ranks, crowd = _rank_and_crowding(scores[0], scores[1])
+    _, ranks, crowd = _rank_and_crowding(scores[0], scores[1])
 
     for gen in range(1, params.n_gen + 1):
         parents_idx = _tournament(ranks, crowd, rng)
@@ -593,16 +579,4 @@ def run_nsga2(
     first = np.array([i for i in fronts[0] if feasible[i]], dtype=int)
     kept = first[_dedup_front(cost_arr[first])]
     order = np.lexsort((cost_arr[kept, 2], cost_arr[kept, 1], cost_arr[kept, 0]))
-    result = []
-    for i in kept[order]:
-        result.append(
-            EvaluatedIndividual(
-                decision=pop[i].copy(),
-                costs=CostVector(*(float(v) for v in cost_arr[i])),
-                constraints=ConstraintReport(
-                    max_accel_violation=float(viol[i, 0]),
-                    collision_violation=float(viol[i, 1]),
-                ),
-            )
-        )
-    return result
+    return [make_individual(pop[i], cost_arr[i], viol[i]) for i in kept[order]]

@@ -159,7 +159,6 @@ class TrajectorySamples:
     positions: np.ndarray
     speeds: np.ndarray
     segment_lengths: np.ndarray
-    param_values: np.ndarray
 
     def __post_init__(self):
         if len(self.speeds) != len(self.positions):
@@ -172,16 +171,10 @@ def sample_uniform(curve: NurbsCurve4D, n_samples: int) -> TrajectorySamples:
     """Evaluate at n_samples equally spaced parameters over the full range."""
     if n_samples < 2:
         raise ValidationError("n_samples must be >= 2")
-    lo, hi = curve.param_range
-    params = np.linspace(lo, hi, n_samples)
+    params = np.linspace(*curve.param_range, n_samples)
     basis = basis_matrix(curve.knots, curve.degree, params)
     points = rational_blend(basis, curve.weights[None], curve.control_points[None])[0]
     positions = points[:, :3]
     speeds = points[:, 3]
     segment_lengths = np.linalg.norm(np.diff(positions, axis=0), axis=1)
-    return TrajectorySamples(
-        positions=positions,
-        speeds=speeds,
-        segment_lengths=segment_lengths,
-        param_values=params,
-    )
+    return TrajectorySamples(positions=positions, speeds=speeds, segment_lengths=segment_lengths)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time as time_mod
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -18,16 +18,16 @@ import numpy as np
 
 from . import costs as costs_mod
 from .environment import Environment, build_environment
-from .errors import ValidationError
+from .errors import FitError, PlanningFailureError, ValidationError
 from .moo import (
     OBJECTIVE_NAMES,
     EvaluatedIndividual,
     EvaluationContext,
     MooParams,
     decode,
-    evaluate,
     interior_count,
     make_context,
+    make_individual,
     run_nsga2,
 )
 from .nurbs import TrajectorySamples, sample_uniform
@@ -132,7 +132,7 @@ def _prepare_run(
     )
     seed = build_feasible_seed(
         env, scn.start, scn.goal, scn.v_start, scn.v_goal, h.resolved_v_cruise(),
-        h.degree, h.n_nurbs, h.a_max, h.r_uav, seeding_params, v_floor=h.v_floor,
+        h.degree, h.n_nurbs, h.a_max, h.r_uav, seeding_params,
     )
     ctx = make_context(
         env=env, power=power_model, safety=_safety_params(scn),
@@ -186,8 +186,6 @@ def plan(
     front = run_nsga2(ctx, population, moo_params, progress_sink=generation_log.append)
     timings["optimization_s"] = time_mod.perf_counter() - t3
     if not front:
-        from .errors import PlanningFailureError
-
         raise PlanningFailureError("optimization returned no feasible trajectory")
 
     weights = adjust_coefficients(scn.risks)
@@ -228,16 +226,8 @@ def plan(
 def _individual_to_dict(ind: EvaluatedIndividual) -> dict:
     return {
         "decision": [float(v) for v in ind.decision],
-        "costs": {
-            "time_s": ind.costs.time_s,
-            "safety": ind.costs.safety,
-            "energy_j": ind.costs.energy_j,
-        },
-        "constraints": {
-            "max_accel_violation": ind.constraints.max_accel_violation,
-            "collision_violation": ind.constraints.collision_violation,
-            "feasible": ind.constraints.feasible,
-        },
+        "costs": asdict(ind.costs),
+        "constraints": {**asdict(ind.constraints), "feasible": ind.feasible},
     }
 
 
@@ -273,9 +263,7 @@ def write_result(result: PlanResult, scn: Scenario, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     h = scn.hyper
 
-    report = costs_mod.check_constraints(
-        result.samples, result.context.env, h.a_max, h.r_uav, h.v_floor
-    )
+    report = costs_mod.check_constraints(result.samples, result.context.env, h.a_max, h.r_uav)
     if report.max_accel_violation > CONSTRAINT_EMIT_TOL or report.collision_violation > CONSTRAINT_EMIT_TOL:
         raise ValidationError(
             f"selected trajectory violates hard constraints on emission: {report}"
@@ -321,29 +309,20 @@ def write_result(result: PlanResult, scn: Scenario, out_dir: Path) -> dict:
 def load_front(path) -> tuple[list, dict]:
     """Reload a pareto.json into EvaluatedIndividuals plus its context block.
 
-    A missing or unreadable file, invalid JSON, or a missing ``front`` or
-    member field raises ValidationError.
+    A missing or unreadable file, invalid JSON, a missing ``front`` or
+    member field, or a cost or violation that is not a number raises
+    ValidationError.
     """
-    from .costs import ConstraintReport, CostVector
-
     try:
         data = json.loads(Path(path).read_text())
-        front = []
-        for entry in data["front"]:
-            front.append(
-                EvaluatedIndividual(
-                    decision=np.asarray(entry["decision"], dtype=float),
-                    costs=CostVector(
-                        time_s=entry["costs"]["time_s"],
-                        safety=entry["costs"]["safety"],
-                        energy_j=entry["costs"]["energy_j"],
-                    ),
-                    constraints=ConstraintReport(
-                        max_accel_violation=entry["constraints"]["max_accel_violation"],
-                        collision_violation=entry["constraints"]["collision_violation"],
-                    ),
-                )
+        front = [
+            make_individual(
+                entry["decision"],
+                [entry["costs"][k] for k in ("time_s", "safety", "energy_j")],
+                [entry["constraints"][k] for k in ("max_accel_violation", "collision_violation")],
             )
+            for entry in data["front"]
+        ]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: not a readable Pareto front ({exc!r})") from exc
     return front, data.get("context", {})
@@ -410,47 +389,35 @@ def sweep(
         if not (step > 0 and stop >= start):
             raise ValidationError("sweep.start/stop/step: need step > 0 and stop >= start")
         n_points = int(round((stop - start) / step)) + 1
-        risk_points = [replace(scn.risks, **{axis: start + i * step}) for i in range(n_points)]
+        # Each point: (row head, risks to replan with, vote weights).
+        points = [
+            ({"axis": axis, "value": getattr(risks, axis)}, risks, adjust_coefficients(risks))
+            for risks in (replace(scn.risks, **{axis: start + i * step}) for i in range(n_points))
+        ]
     else:
         if replan:
             raise ValidationError("sweep: replan applies to risk sweeps only")
-        grid = _simplex_grid(_spec_number(sweep_spec, "spacing", 0.1))
+        points = [
+            ({}, None, VoteWeights(*k, *k, gamma=1.0))  # baselines equal the coefficients
+            for k in _simplex_grid(_spec_number(sweep_spec, "spacing", 0.1))
+        ]
 
     env = build_scenario_environment(scn)
     power_model = fit_quadric(load_power_samples(scn.power_calibration))
     base = None if replan else plan(scn, env=env, power_model=power_model)
 
     rows = []
-    if kind == "risk":
-        for risks in risk_points:
-            if replan:
-                point_result = plan(replace(scn, risks=risks), env=env, power_model=power_model)
-                front = point_result.front
-                weights = point_result.weights
-                index = point_result.selected_index
-            else:
-                front = base.front
-                weights = adjust_coefficients(risks)
-                index = vote(front, weights)
-            row = {"axis": axis, "value": getattr(risks, axis), "k_time": weights.k_time,
-                   "k_safety": weights.k_safety, "k_energy": weights.k_energy}
-            row.update(selected_index=index, **_member_metrics(scn, front[index], env))
-            rows.append(row)
-    else:
-        for k_time, k_safety, k_energy in grid:
-            weights = VoteWeights(
-                k_time=k_time,
-                k_safety=k_safety,
-                k_energy=k_energy,
-                baseline_time=k_time,
-                baseline_safety=k_safety,
-                baseline_energy=k_energy,
-                gamma=1.0,
-            )
-            index = vote(base.front, weights)
-            row = {"k_time": k_time, "k_safety": k_safety, "k_energy": k_energy}
-            row.update(selected_index=index, **_member_metrics(scn, base.front[index], env))
-            rows.append(row)
+    for head, risks, weights in points:
+        if replan:
+            point = plan(replace(scn, risks=risks), env=env, power_model=power_model)
+            front, index = point.front, point.selected_index
+        else:
+            front, index = base.front, vote(base.front, weights)
+        rows.append({
+            **head, "k_time": weights.k_time, "k_safety": weights.k_safety,
+            "k_energy": weights.k_energy, "selected_index": index,
+            **_member_metrics(scn, front[index], env),
+        })
 
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -540,8 +507,6 @@ def fit_power_report(
     axis_samples = [s for s in samples if _is_axis_aligned(s.direction)]
     rest = [s for s in samples if not _is_axis_aligned(s.direction)]
     if len(axis_samples) < 6:
-        from .errors import FitError
-
         raise FitError(
             f"need the six axis-aligned calibration samples, found {len(axis_samples)}"
         )

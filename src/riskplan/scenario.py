@@ -4,15 +4,18 @@ A scenario is one human-editable JSON document describing the world
 (domain, obstacles, keep-out hulls), the mission (start/goal and their
 speeds, current risks), every planner hyperparameter, and the path to the
 power calibration CSV. Validation collects all problems before failing so
-a bad file is reported once, completely.
+a bad file is reported once, completely. A value of the wrong JSON type is
+one such problem; hyperparameter types come from the ``Hyperparams`` field
+annotations.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -22,6 +25,7 @@ from .environment import (
     DomainBox,
     OrientedHull,
     SphereObstacle,
+    _vec3,
 )
 from .errors import ValidationError
 from .voting import RiskState
@@ -63,6 +67,9 @@ class Hyperparams:
         return self.v_max / 2.0 if self.v_cruise is None else self.v_cruise
 
 
+_HYPER_TYPES = get_type_hints(Hyperparams)
+
+
 @dataclass(frozen=True)
 class Scenario:
     domain: DomainBox
@@ -89,7 +96,7 @@ def _check_hyper(hyper: Hyperparams, errors: list):
     bad(hyper.v_max <= 0, "hyperparams.v_max: must be > 0")
     bad(hyper.a_max <= 0, "hyperparams.a_max: must be > 0")
     bad(
-        not (1 < hyper.degree <= 5) or int(hyper.degree) != hyper.degree,
+        not (1 < hyper.degree <= 5),
         f"hyperparams.degree: must be a natural number with 1 < degree <= 5, got {hyper.degree}",
     )
     bad(
@@ -114,11 +121,39 @@ def _check_hyper(hyper: Hyperparams, errors: list):
         "hyperparams.weight_min/weight_max: need 0 < min < max",
     )
     bad(hyper.v_floor >= hyper.v_max, "hyperparams.v_floor: must be < v_max")
+    bad(hyper.rrt_max_iters < 1, "hyperparams.rrt_max_iters: must be >= 1")
+
+
+def _type_problem(value, hint) -> Optional[str]:
+    """Why a JSON value does not fit ``hint`` (float, int or Optional of one)."""
+    kinds = get_args(hint) or (hint,)
+    if value is None and type(None) in kinds:
+        return None
+    want, types = ("an integer", int) if int in kinds else ("a finite number", (int, float))
+    if isinstance(value, bool) or not isinstance(value, types) or not -math.inf < value < math.inf:
+        return f"must be {want}, got {value!r}"
+    return None
+
+
+def _field(section: dict, key: str, prefix: str, default, errors: list, hint=float):
+    """``section[key]``; ``default`` when absent or, reported, of the wrong type."""
+    value = section.get(key, default)
+    problem = _type_problem(value, hint)
+    if problem:
+        errors.append(f"{prefix}{key}: {problem}")
+    return default if problem else value
+
+
+def _section(value, path: str, errors: list, kind=dict):
+    """A JSON object (array for ``kind=list``); anything else, reported, reads empty."""
+    if not isinstance(value, kind):
+        errors.append(f"{path}: must be a JSON {'object' if kind is dict else 'array'}")
+    return value if isinstance(value, kind) else kind()
 
 
 def _parse_obstacle(entry: dict, path: str, errors: list):
-    kind = entry.get("type")
     try:
+        kind = entry.get("type")
         if kind == "box":
             return BoxObstacle(min_corner=entry["min"], max_corner=entry["max"])
         if kind == "sphere":
@@ -132,6 +167,8 @@ def _parse_obstacle(entry: dict, path: str, errors: list):
         errors.append(f"{path}: missing field {exc}")
     except ValidationError as exc:
         errors.extend(f"{path}: {v}" for v in exc.violations)
+    except (AttributeError, TypeError, ValueError) as exc:
+        errors.append(f"{path}: malformed entry ({exc})")
     return None
 
 
@@ -145,6 +182,8 @@ def _parse_hull(entry: dict, path: str, errors: list):
         errors.append(f"{path}: missing field {exc}")
     except ValidationError as exc:
         errors.extend(f"{path}: {v}" for v in exc.violations)
+    except (AttributeError, TypeError, ValueError) as exc:
+        errors.append(f"{path}: malformed entry ({exc})")
     return None
 
 
@@ -155,19 +194,22 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None, name: str = "sc
     """
     base_dir = Path(base_dir) if base_dir is not None else Path.cwd()
     errors: list[str] = []
+    data = _section(data, "scenario", errors)
 
-    hyper_data = dict(data.get("hyperparams", {}))
-    known = {f.name for f in fields(Hyperparams)}
-    for key in sorted(set(hyper_data) - known):
-        errors.append(f"hyperparams.{key}: unknown hyperparameter")
-        hyper_data.pop(key)
+    hyper_data = dict(_section(data.get("hyperparams", {}), "hyperparams", errors))
+    for key in sorted(hyper_data):
+        hint = _HYPER_TYPES.get(key)
+        problem = _type_problem(hyper_data[key], hint) if hint else "unknown hyperparameter"
+        if problem:
+            errors.append(f"hyperparams.{key}: {problem}")
+            hyper_data.pop(key)
     hyper = Hyperparams(**hyper_data)
     _check_hyper(hyper, errors)
 
-    env_data = data.get("environment", {})
+    env_data = _section(data.get("environment", {}), "environment", errors)
     domain = None
     try:
-        dom = env_data["domain"]
+        dom = _section(env_data.get("domain", {}), "environment.domain", errors)
         domain = DomainBox(min_corner=dom["min"], max_corner=dom["max"], v_max=hyper.v_max)
     except KeyError as exc:
         errors.append(f"environment.domain: missing field {exc}")
@@ -175,62 +217,60 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None, name: str = "sc
         errors.extend(f"environment.domain: {v}" for v in exc.violations)
 
     obstacles = []
-    for i, entry in enumerate(env_data.get("obstacles", [])):
+    entries = _section(env_data.get("obstacles", []), "environment.obstacles", errors, list)
+    for i, entry in enumerate(entries):
         obs = _parse_obstacle(entry, f"environment.obstacles[{i}]", errors)
         if obs is not None:
             obstacles.append(obs)
     hulls = []
-    for i, entry in enumerate(env_data.get("hulls", [])):
+    entries = _section(env_data.get("hulls", []), "environment.hulls", errors, list)
+    for i, entry in enumerate(entries):
         hull = _parse_hull(entry, f"environment.hulls[{i}]", errors)
         if hull is not None:
             hulls.append(hull)
 
-    resolution = float(env_data.get("resolution", 0.5))
+    resolution = float(_field(env_data, "resolution", "environment.", 0.5, errors))
     if resolution <= 0:
         errors.append("environment.resolution: must be > 0")
-    max_voxels = int(env_data.get("max_voxels", 20_000_000))
+    max_voxels = _field(env_data, "max_voxels", "environment.", 20_000_000, errors, int)
 
-    mission = data.get("mission", {})
-    start = np.asarray(mission.get("start", [np.nan] * 3), dtype=float)
-    goal = np.asarray(mission.get("goal", [np.nan] * 3), dtype=float)
-    if "start" not in mission:
-        errors.append("mission.start: required")
-    if "goal" not in mission:
-        errors.append("mission.goal: required")
-    if start.shape != (3,) or goal.shape != (3,):
-        errors.append("mission.start/goal: must be 3-vectors")
-    elif np.all(np.isfinite(start)) and np.all(np.isfinite(goal)):
-        if np.allclose(start, goal):
-            errors.append("mission.start/goal: must differ")
-        if domain is not None:
-            if not domain.contains(start):
-                errors.append("mission.start: outside the domain box")
-            if not domain.contains(goal):
-                errors.append("mission.goal: outside the domain box")
+    mission = _section(data.get("mission", {}), "mission", errors)
+    ends = {}
+    for key in ("start", "goal"):
+        try:
+            ends[key] = _vec3(mission[key], f"mission.{key}")
+        except KeyError:
+            errors.append(f"mission.{key}: required")
+        except ValidationError as exc:
+            errors.extend(exc.violations)
+        else:
+            if domain is not None and not domain.contains(ends[key]):
+                errors.append(f"mission.{key}: outside the domain box")
+    start, goal = ends.get("start"), ends.get("goal")
+    if len(ends) == 2 and np.allclose(start, goal):
+        errors.append("mission.start/goal: must differ")
 
-    v_start = float(mission.get("v_start", hyper.v_max / 2.0))
-    v_goal = float(mission.get("v_goal", hyper.v_max / 2.0))
+    v_start = float(_field(mission, "v_start", "mission.", hyper.v_max / 2.0, errors))
+    v_goal = float(_field(mission, "v_goal", "mission.", hyper.v_max / 2.0, errors))
     if not 0 <= v_start <= hyper.v_max:
         errors.append(f"mission.v_start: must be in [0, v_max], got {v_start}")
     if not 0 <= v_goal <= hyper.v_max:
         errors.append(f"mission.v_goal: must be in [0, v_max], got {v_goal}")
 
-    risk_data = mission.get("risks", data.get("risks", {}))
+    risk_data = _section(mission.get("risks", data.get("risks", {})), "mission.risks", errors)
     risks = RiskState()
     try:
-        risks = RiskState(
-            wind=float(risk_data.get("wind", 0.0)),
-            communication=float(risk_data.get("communication", 0.0)),
-            localization=float(risk_data.get("localization", 0.0)),
-            battery=float(risk_data.get("battery", 0.0)),
-        )
+        risks = RiskState(**{
+            f.name: float(_field(risk_data, f.name, "mission.risks.", 0.0, errors))
+            for f in fields(RiskState)
+        })
     except ValidationError as exc:
         errors.extend(f"mission.risks: {v}" for v in exc.violations)
 
     calibration = data.get("power_calibration")
-    if not calibration:
+    if not calibration or not isinstance(calibration, str):
         errors.append(
-            "power_calibration: required (the energy objective needs a calibration CSV)"
+            "power_calibration: required, the path of the calibration CSV the energy cost needs"
         )
         calibration_path = Path("missing.csv")
     else:
@@ -240,7 +280,9 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None, name: str = "sc
         if not calibration_path.exists():
             errors.append(f"power_calibration: file not found: {calibration_path}")
 
-    rng_seed = int(data.get("rng_seed", 0))
+    rng_seed = _field(data, "rng_seed", "", 0, errors, int)
+    if rng_seed < 0:
+        errors.append(f"rng_seed: must be a non-negative integer, got {rng_seed}")
 
     if errors:
         raise ValidationError(errors)

@@ -16,7 +16,7 @@ import numpy as np
 from . import costs as costs_mod
 from .environment import Environment
 from .errors import PlanningFailureError, ValidationError
-from .moo import Bounds, _layout_views, decision_arity, decision_layout, decode
+from .moo import Bounds, _layout_views, decision_arity, decode
 from .nurbs import sample_uniform
 
 
@@ -227,19 +227,18 @@ def initial_population(
     if pop_size < 2:
         raise ValidationError("pop_size must be >= 2")
     seed_vec = np.asarray(seed_vec, dtype=float)
-    layout = decision_layout(bounds.n_interior)
     rng = np.random.default_rng(params.rng_seed)
     pop = np.tile(seed_vec, (pop_size, 1))
-    noise = rng.standard_normal((pop_size - 1, len(seed_vec)))
-    pop[1:, layout["position"]] += params.sigma_pos * noise[:, layout["position"]]
-    pop[1:, layout["speed"]] += params.sigma_speed * noise[:, layout["speed"]]
+    _, rows = _layout_views(pop[1:])
+    _, noise = _layout_views(rng.standard_normal((pop_size - 1, len(seed_vec))))
+    rows[..., :3] += params.sigma_pos * noise[..., :3]
+    rows[..., 3] += params.sigma_speed * noise[..., 3]
     return bounds.clip(pop)
 
 
 @dataclass(frozen=True)
 class SeedResult:
     decision: np.ndarray
-    polyline: np.ndarray
     delta_rope_used: float
     halvings: int
 
@@ -263,7 +262,8 @@ def build_feasible_seed(
 
     NURBS smoothing can pull the curve off the collision-free polyline;
     when that breaks a constraint the node spacing is halved (at most
-    max_halvings times) and the search repeated.
+    max_halvings times) and the search repeated. ``v_floor`` is unused; it
+    stays so that existing keyword callers keep working.
     """
     delta = params.delta_rope
     for halvings in range(max_halvings + 1):
@@ -272,14 +272,9 @@ def build_feasible_seed(
         decision = polyline_to_decision_vector(polyline, v_cruise, degree)
         curve = decode(decision, start, goal, v_start, v_goal, degree)
         samples = sample_uniform(curve, n_samples)
-        report = costs_mod.check_constraints(samples, env, a_max, r_uav, v_floor)
+        report = costs_mod.check_constraints(samples, env, a_max, r_uav)
         if report.feasible:
-            return SeedResult(
-                decision=decision,
-                polyline=polyline,
-                delta_rope_used=delta,
-                halvings=halvings,
-            )
+            return SeedResult(decision=decision, delta_rope_used=delta, halvings=halvings)
         delta /= 2.0
     raise PlanningFailureError(
         f"seed stayed infeasible after {max_halvings} delta_rope halvings"

@@ -65,6 +65,33 @@ class TestPlanCommand:
         path.write_text(json.dumps(data))
         assert main(["plan", str(path)]) == 3
 
+    @pytest.mark.parametrize(
+        "change, args",
+        [
+            ({"rng_seed": "abc"}, []),
+            ({"rng_seed": 1.5}, []),
+            ({"hyperparams": {"n_gen": "x"}}, []),
+            ({"environment": []}, []),
+            ({}, ["--seed", "-1"]),
+        ],
+        ids=["text-seed", "fractional-seed", "text-n_gen", "list-environment", "negative-seed-flag"],
+    )
+    def test_malformed_scenario_exit_code(self, tmp_path, capsys, change, args):
+        csv = write_power_csv(tmp_path / "power.csv")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**corridor_scenario_dict(csv, n_gen=20), **change}))
+        assert main(["plan", str(path), "--out", str(tmp_path / "out"), *args]) == 2
+        assert "validation error" in capsys.readouterr().err
+
+
+def member_entry(time_s) -> dict:
+    """A pareto.json front member with the given ``time_s`` cost."""
+    return {
+        "decision": [1.0] * 7,
+        "costs": {"time_s": time_s, "safety": 0.1, "energy_j": 100.0},
+        "constraints": {"max_accel_violation": 0.0, "collision_violation": 0.0, "feasible": True},
+    }
+
 
 class TestVoteCommand:
     def test_revote_on_cached_front(self, scenario_file, tmp_path, capsys):
@@ -83,8 +110,13 @@ class TestVoteCommand:
         assert main(["vote", str(out / "pareto.json"), "--risks", "1,2"]) == 2
 
     @pytest.mark.parametrize(
-        "content", [None, "not json {", json.dumps({"selected_index": 0}), json.dumps([1, 2])],
-        ids=["missing", "not-json", "no-front", "not-an-object"],
+        "content",
+        [
+            None, "not json {", json.dumps({"selected_index": 0}), json.dumps([1, 2]),
+            json.dumps({"front": [member_entry(None), member_entry(2.0)]}),
+            json.dumps({"front": [member_entry("x"), member_entry(2.0)]}),
+        ],
+        ids=["missing", "not-json", "no-front", "not-an-object", "null-cost", "text-cost"],
     )
     def test_unreadable_front_exit_code(self, tmp_path, capsys, content):
         path = tmp_path / "pareto.json"

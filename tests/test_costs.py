@@ -33,7 +33,6 @@ def make_samples(positions, speeds):
         positions=positions,
         speeds=speeds,
         segment_lengths=np.linalg.norm(np.diff(positions, axis=0), axis=1),
-        param_values=np.linspace(0, 1, len(positions)),
     )
 
 

@@ -10,13 +10,13 @@ from riskplan.moo import (
     MooParams,
     _crowding_from_arrays,
     _fronts_from_arrays,
+    _layout_views,
     _mutation_batch,
     _sbx_batch,
     _select_survivors,
     build_bounds,
     decision_arity,
     decode,
-    encode,
     evaluate,
     make_context,
     nsga2_minimize,
@@ -65,7 +65,10 @@ class TestDecisionVector:
         rng = np.random.default_rng(1)
         z = self._decision(rng)
         curve = decode(z, self.START, self.GOAL, 1.0, 1.0, 3)
-        assert encode(curve) == pytest.approx(z)
+        ends, rows = _layout_views(z)
+        assert curve.weights[[0, -1]] == pytest.approx(ends)
+        assert curve.control_points[1:-1] == pytest.approx(rows[:, :4])
+        assert curve.weights[1:-1] == pytest.approx(rows[:, 4])
 
     def test_endpoints_fixed(self):
         rng = np.random.default_rng(2)
@@ -322,7 +325,9 @@ class TestRunNsga2:
         for ind in front:
             assert ind.constraints.feasible
         objs = np.array([ind.costs.as_array() for ind in front])
-        viol = np.array([ind.constraints.total_violation for ind in front])
+        viol = np.array(
+            [ind.constraints.max_accel_violation + ind.constraints.collision_violation for ind in front]
+        )
         assert [f.tolist() for f in _fronts_from_arrays(objs, viol)] == [list(range(len(front)))]
 
     def test_front_objectives_deduplicated(self, corridor_run):

@@ -82,9 +82,7 @@ class TestPlanOutputs:
     def test_emitted_trajectory_satisfies_constraints(self, planned):
         scn, result, _ = planned
         env = result.context.env
-        report = check_constraints(
-            result.samples, env, scn.hyper.a_max, scn.hyper.r_uav, scn.hyper.v_floor
-        )
+        report = check_constraints(result.samples, env, scn.hyper.a_max, scn.hyper.r_uav)
         assert report.max_accel_violation <= 1e-9
         assert report.collision_violation <= 1e-9
 

@@ -117,7 +117,6 @@ class TestPowerForDirection:
             positions=positions,
             speeds=np.ones(4),
             segment_lengths=np.array([1.0, 0.0, 1.0]),
-            param_values=np.linspace(0, 1, 4),
         )
         hover = np.mean([600, 600, 600, 600, 800, 500])
         assert model.hover_power == pytest.approx(hover)

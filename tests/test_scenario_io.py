@@ -113,3 +113,38 @@ class TestLoadScenario:
         assert scn.hyper.n_gen == 1000
         assert scn.hyper.n_nurbs == 50
         assert len(scn.hulls) == 1
+
+
+MALFORMED = {
+    "negative-seed": (("rng_seed",), -1, "rng_seed"),
+    "text-seed": (("rng_seed",), "abc", "rng_seed"),
+    "fractional-seed": (("rng_seed",), 1.5, "rng_seed"),
+    "text-n_gen": (("hyperparams", "n_gen"), "x", "hyperparams.n_gen"),
+    "text-v_max": (("hyperparams", "v_max"), "2", "hyperparams.v_max"),
+    "fractional-n_gen": (("hyperparams", "n_gen"), 2.5, "hyperparams.n_gen"),
+    "fractional-n_nurbs": (("hyperparams", "n_nurbs"), 3.5, "hyperparams.n_nurbs"),
+    "negative-rrt_max_iters": (("hyperparams", "rrt_max_iters"), -5, "hyperparams.rrt_max_iters"),
+    "text-resolution": (("environment", "resolution"), "x", "environment.resolution"),
+    "text-max_voxels": (("environment", "max_voxels"), "x", "environment.max_voxels"),
+    "list-environment": (("environment",), [], "environment: must be a JSON object"),
+    "text-start": (("mission", "start"), "abc", "mission.start"),
+    "text-v_start": (("mission", "v_start"), "x", "mission.v_start"),
+    "text-wind": (("mission", "risks", "wind"), "x", "mission.risks.wind"),
+    "number-calibration": (("power_calibration",), 5, "power_calibration"),
+    "text-box-min": (
+        ("environment", "obstacles"),
+        [{"type": "box", "min": "a", "max": [2, 2, 2]}],
+        r"obstacles\[0\]: box.min",
+    ),
+}
+
+
+@pytest.mark.parametrize("keys, value, field", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_value_names_its_field(power_csv, tmp_path, keys, value, field):
+    data = minimal_dict(power_csv)
+    section = data
+    for key in keys[:-1]:
+        section = section.setdefault(key, {})
+    section[keys[-1]] = value
+    with pytest.raises(ValidationError, match=field):
+        scenario_from_dict(data, base_dir=tmp_path)

@@ -9,7 +9,7 @@ from riskplan.environment import (
     build_environment,
 )
 from riskplan.errors import PlanningFailureError, ValidationError
-from riskplan.moo import build_bounds, decision_arity, decision_layout
+from riskplan.moo import _layout_views, build_bounds, decision_arity
 from riskplan.seeding import (
     SeedingParams,
     build_feasible_seed,
@@ -102,9 +102,9 @@ class TestPolylineToDecision:
         polyline = np.linspace([0, 0, 0], [10, 0, 0], 6)
         decision = polyline_to_decision_vector(polyline, v_cruise=1.0, degree=3)
         assert len(decision) == 22
-        layout = decision_layout(4)
-        assert np.all(decision[layout["weight"]] == 1.0)
-        assert np.all(decision[layout["speed"]] == 1.0)
+        ends, rows = _layout_views(decision)
+        assert np.all(ends == 1.0) and np.all(rows[:, 4] == 1.0)
+        assert np.all(rows[:, 3] == 1.0)
 
     def test_two_node_polyline_subdivided(self):
         polyline = np.array([[0, 0, 0], [10, 0, 0]], dtype=float)
@@ -115,8 +115,8 @@ class TestPolylineToDecision:
     def test_weights_initialized_to_one(self):
         polyline = np.linspace([0, 0, 0], [10, 5, 2], 8)
         decision = polyline_to_decision_vector(polyline, v_cruise=0.7, degree=3)
-        layout = decision_layout((len(decision) - 2) // 5)
-        assert np.all(decision[layout["weight"]] == 1.0)
+        ends, rows = _layout_views(decision)
+        assert np.all(ends == 1.0) and np.all(rows[:, 4] == 1.0)
 
 
 class TestInitialPopulation:
@@ -143,8 +143,24 @@ class TestInitialPopulation:
         bounds, seed = self._setup()
         params = SeedingParams(delta_rope=5.0, rng_seed=5)
         pop = initial_population(seed, 40, bounds, params)
-        layout = decision_layout(4)
-        assert np.all(pop[:, layout["weight"]] == 1.0)
+        ends, rows = _layout_views(pop)
+        assert np.all(ends == 1.0) and np.all(rows[..., 4] == 1.0)
+
+    def test_noise_matches_index_reference(self):
+        # Reference: entry j of the flat layout [w0, (x, y, z, speed, w) * k,
+        # wn] gets sigma_pos (x, y, z), sigma_speed (speed) or no noise.
+        bounds, seed = self._setup()
+        params = SeedingParams(delta_rope=5.0, sigma_pos=0.5, sigma_speed=0.2, rng_seed=11)
+        pop = initial_population(seed, 40, bounds, params)
+        noise = np.random.default_rng(11).standard_normal((39, len(seed)))
+        expected = np.tile(seed, (40, 1))
+        for j in range(1, len(seed) - 1):
+            kind = (j - 1) % 5
+            if kind < 4:
+                sigma = params.sigma_pos if kind < 3 else params.sigma_speed
+                expected[1:, j] += sigma * noise[:, j]
+        assert np.array_equal(pop, bounds.clip(expected))
+        assert not np.array_equal(pop[1:], np.tile(seed, (39, 1)))
 
     def test_all_within_bounds_bulk(self):
         bounds, seed = self._setup()
