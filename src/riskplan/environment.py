@@ -214,15 +214,13 @@ class SignedDistanceField:
     distance: np.ndarray = field(repr=False)
 
     def query(self, points: np.ndarray, out_of_range: str = "raise") -> np.ndarray:
-        """Trilinear interpolation of the distance grid at world points.
+        """Trilinear interpolation of the distance grid at world points (M, 3).
 
         Points within one voxel of the grid border are clamped onto it. A
         point farther out, or with a non-finite coordinate, is out of range:
         ``out_of_range`` is either "raise" (OutOfDomainError) or "nan".
         """
         pts = np.asarray(points, dtype=float)
-        scalar = pts.ndim == 1
-        pts = np.atleast_2d(pts)
         res = self.resolution
         nx, ny, nz = self.dims
         lows = self.origin.tolist()
@@ -278,7 +276,7 @@ class SignedDistanceField:
 
         if bad is not None:
             out = np.where(bad, np.nan, out)
-        return out[0] if scalar else out
+        return out
 
 
 def voxel_centers(origin: np.ndarray, resolution: float, dims) -> np.ndarray:
@@ -340,7 +338,6 @@ class Environment:
     about the world."""
 
     domain: DomainBox
-    obstacles: tuple
     hulls: tuple
     sdf: SignedDistanceField
 
@@ -356,4 +353,4 @@ def build_environment(
     max_voxels: int = DEFAULT_MAX_VOXELS,
 ) -> Environment:
     sdf = build_sdf(obstacles, domain, resolution, max_voxels)
-    return Environment(domain=domain, obstacles=tuple(obstacles), hulls=tuple(hulls), sdf=sdf)
+    return Environment(domain=domain, hulls=tuple(hulls), sdf=sdf)

@@ -202,7 +202,6 @@ class EvaluationContext:
     v_floor: float
     bounds: Bounds
     basis: np.ndarray = field(repr=False)
-    objectives: tuple = OBJECTIVE_NAMES
 
 
 def make_context(
@@ -219,16 +218,12 @@ def make_context(
     n_interior: int,
     v_floor: float = costs_mod.DEFAULT_V_FLOOR,
     weight_bounds: tuple = DEFAULT_WEIGHT_BOUNDS,
-    objectives: tuple = OBJECTIVE_NAMES,
 ) -> EvaluationContext:
     n_ctrl = n_interior + 2
     knots = make_clamped_uniform_knots(n_ctrl, degree)
     params = np.linspace(knots[degree], knots[-degree - 1], n_samples)
     basis = basis_matrix(knots, degree, params)
     bounds = build_bounds(env.domain, n_interior, v_floor, weight_bounds)
-    unknown = set(objectives) - set(OBJECTIVE_NAMES)
-    if unknown:
-        raise ValidationError(f"unknown objectives: {sorted(unknown)}")
     return EvaluationContext(
         env=env,
         power=power,
@@ -243,7 +238,6 @@ def make_context(
         v_floor=v_floor,
         bounds=bounds,
         basis=basis,
-        objectives=tuple(objectives),
     )
 
 
@@ -561,13 +555,11 @@ def run_nsga2(
     An empty result means no feasible individual survived, which can only
     happen when the seed itself was infeasible.
     """
-    cols = [OBJECTIVE_NAMES.index(name) for name in ctx.objectives]
-
     def batch(decisions: np.ndarray) -> tuple[np.ndarray, ...]:
         cost_arr, viol = evaluate_batch(decisions, ctx)
-        return cost_arr[:, cols], viol.sum(axis=1), cost_arr, viol
+        return cost_arr, viol.sum(axis=1), viol
 
-    pop, objs_sub, viol_total, cost_arr, viol = nsga2_minimize(
+    pop, cost_arr, viol_total, viol = nsga2_minimize(
         batch, ctx.bounds.lower, ctx.bounds.upper, params, seed_population, progress_sink
     )
 
@@ -575,7 +567,7 @@ def run_nsga2(
     if not feasible.any():
         log.warning("optimization ended with no feasible individual (infeasible seed?)")
         return []
-    fronts = _fronts_from_arrays(objs_sub, viol_total, 1)
+    fronts = _fronts_from_arrays(cost_arr, viol_total, 1)
     first = np.array([i for i in fronts[0] if feasible[i]], dtype=int)
     kept = first[_dedup_front(cost_arr[first])]
     order = np.lexsort((cost_arr[kept, 2], cost_arr[kept, 1], cost_arr[kept, 0]))

@@ -20,7 +20,6 @@ from . import costs as costs_mod
 from .environment import Environment, build_environment
 from .errors import FitError, PlanningFailureError, ValidationError
 from .moo import (
-    OBJECTIVE_NAMES,
     EvaluatedIndividual,
     EvaluationContext,
     MooParams,
@@ -44,6 +43,7 @@ from .voting import VoteWeights, adjust_coefficients, vote
 from .environment import SafetyParams
 
 CONSTRAINT_EMIT_TOL = 1e-9
+SWEEP_COUNT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,6 @@ def _prepare_run(
     scn: Scenario,
     env: Environment,
     power_model: PowerQuadricModel,
-    objectives: tuple = OBJECTIVE_NAMES,
 ) -> tuple[SeedResult, EvaluationContext, np.ndarray, MooParams]:
     """Seed, evaluation context, initial population and optimizer settings
     for one run of ``scn``.
@@ -139,7 +138,7 @@ def _prepare_run(
         start=scn.start, goal=scn.goal, v_start=scn.v_start, v_goal=scn.v_goal,
         degree=h.degree, n_samples=h.n_nurbs, a_max=h.a_max,
         n_interior=interior_count(len(seed.decision)), v_floor=h.v_floor,
-        weight_bounds=(h.weight_min, h.weight_max), objectives=objectives,
+        weight_bounds=(h.weight_min, h.weight_max),
     )
     population = initial_population(
         seed.decision, h.n_pop, ctx.bounds, replace(seeding_params, rng_seed=scn.rng_seed + 1)
@@ -203,7 +202,6 @@ def plan(
         "delta_rope_used": seed.delta_rope_used,
         "seed_halvings": seed.halvings,
         "front_size": len(front),
-        "m_uav": h.m_uav,
         "timings": timings,
     }
 
@@ -306,23 +304,28 @@ def write_result(result: PlanResult, scn: Scenario, out_dir: Path) -> dict:
     }
 
 
+def _front_member(entry: dict) -> EvaluatedIndividual:
+    """One pareto.json member; TypeError unless every decision entry, cost
+    and violation is a JSON number (a string or a bool is not)."""
+    decision = list(entry["decision"])
+    costs = [entry["costs"][k] for k in ("time_s", "safety", "energy_j")]
+    violations = [entry["constraints"][k] for k in ("max_accel_violation", "collision_violation")]
+    for value in (*decision, *costs, *violations):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"{value!r} is not a number")
+    return make_individual(decision, costs, violations)
+
+
 def load_front(path) -> tuple[list, dict]:
     """Reload a pareto.json into EvaluatedIndividuals plus its context block.
 
     A missing or unreadable file, invalid JSON, a missing ``front`` or
-    member field, or a cost or violation that is not a number raises
-    ValidationError.
+    member field, or a decision entry, cost or violation that is not a JSON
+    number (a string or a bool) raises ValidationError.
     """
     try:
         data = json.loads(Path(path).read_text())
-        front = [
-            make_individual(
-                entry["decision"],
-                [entry["costs"][k] for k in ("time_s", "safety", "energy_j")],
-                [entry["constraints"][k] for k in ("max_accel_violation", "collision_violation")],
-            )
-            for entry in data["front"]
-        ]
+        front = [_front_member(entry) for entry in data["front"]]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: not a readable Pareto front ({exc!r})") from exc
     return front, data.get("context", {})
@@ -388,11 +391,15 @@ def sweep(
         step = _spec_number(sweep_spec, "step", 0.1)
         if not (step > 0 and stop >= start):
             raise ValidationError("sweep.start/stop/step: need step > 0 and stop >= start")
-        n_points = int(round((stop - start) / step)) + 1
+        # The tolerance still counts a stop a whole number of steps from
+        # start when the division rounds just below that number; min()
+        # keeps the last point from passing stop by the same rounding.
+        n_points = int(np.floor((stop - start) / step + SWEEP_COUNT_TOL)) + 1
+        values = [min(start + i * step, stop) for i in range(n_points)]
         # Each point: (row head, risks to replan with, vote weights).
         points = [
             ({"axis": axis, "value": getattr(risks, axis)}, risks, adjust_coefficients(risks))
-            for risks in (replace(scn.risks, **{axis: start + i * step}) for i in range(n_points))
+            for risks in (replace(scn.risks, **{axis: value}) for value in values)
         ]
     else:
         if replan:
@@ -437,71 +444,16 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-# --- single-objective benchmarking ------------------------------------------
-
-
-def benchmark_single_objective(
-    scn: Scenario,
-    objective: str,
-    n_runs: int,
-    n_gen: int,
-    pop_size: Optional[int] = None,
-    base_seed: int = 10_000,
-    env: Optional[Environment] = None,
-    power_model: Optional[PowerQuadricModel] = None,
-) -> dict:
-    """Repeat single-objective runs and keep the best trajectory.
-
-    Mirrors the multi-run benchmarking protocol used to bracket the
-    planner's behavioral range: each run optimizes exactly one objective;
-    the trajectory with the overall minimum wins.
-    """
-    if objective not in OBJECTIVE_NAMES:
-        raise ValidationError(f"unknown objective {objective!r}")
-    if env is None:
-        env = build_scenario_environment(scn)
-    if power_model is None:
-        power_model = fit_quadric(load_power_samples(scn.power_calibration))
-    h = scn.hyper
-    pop_size = pop_size or h.n_pop
-
-    best = None
-    best_value = np.inf
-    col = OBJECTIVE_NAMES.index(objective)
-    for run in range(n_runs):
-        run_scn = replace(
-            scn, rng_seed=base_seed + run, hyper=replace(h, n_gen=n_gen, n_pop=pop_size)
-        )
-        _, ctx, population, params = _prepare_run(run_scn, env, power_model, (objective,))
-        front = run_nsga2(ctx, population, params)
-        for ind in front:
-            value = ind.costs.as_array()[col]
-            if value < best_value:
-                best_value = value
-                best = ind
-
-    if best is None:
-        raise ValidationError(f"no feasible benchmark trajectory found for {objective}")
-    metrics = _member_metrics(scn, best, env)
-    metrics["objective"] = objective
-    metrics["best_value"] = float(best_value)
-    metrics["safety"] = best.costs.safety
-    return metrics
-
-
 # --- power model fitting report ---------------------------------------------
 
 
-def fit_power_report(
-    csv_path,
-    holdout_fraction: float = 1.0,
-    rng_seed: int = 0,
-) -> tuple[PowerQuadricModel, dict]:
+def fit_power_report(csv_path, holdout_fraction: float = 1.0) -> tuple[PowerQuadricModel, dict]:
     """Fit on the six axis-aligned samples, validate on the rest.
 
-    ``holdout_fraction`` deterministically subsamples the validation set
-    (1.0 keeps everything). The report carries agreement statistics (mean
-    error with 1.96-sigma limits) and per-sample residuals.
+    ``holdout_fraction`` subsamples the validation set with a fixed RNG
+    stream (seed 0), so the subset is deterministic; 1.0 keeps everything.
+    The report carries agreement statistics (mean error with 1.96-sigma
+    limits) and per-sample residuals.
     """
     samples = load_power_samples(csv_path)
     axis_samples = [s for s in samples if _is_axis_aligned(s.direction)]
@@ -515,7 +467,7 @@ def fit_power_report(
     if not 0.0 < holdout_fraction <= 1.0:
         raise ValidationError("holdout_fraction must be in (0, 1]")
     if holdout_fraction < 1.0 and rest:
-        rng = np.random.default_rng(rng_seed)
+        rng = np.random.default_rng(0)
         n_keep = max(1, int(round(holdout_fraction * len(rest))))
         keep_idx = rng.choice(len(rest), size=n_keep, replace=False)
         rest = [rest[i] for i in sorted(keep_idx)]

@@ -20,6 +20,8 @@ from typing import Optional, get_args, get_type_hints
 import numpy as np
 
 from .environment import (
+    DEFAULT_MAX_VOXELS,
+    DEFAULT_RESOLUTION,
     BoxObstacle,
     CapsuleObstacle,
     DomainBox,
@@ -43,7 +45,6 @@ class Hyperparams:
     n_gen: int = 1000
     n_pop: int = 40
     n_nurbs: int = 50
-    m_uav: float = 4.2  # recorded in outputs; no implemented cost consumes it
     k_a: float = 0.5
     k_b: float = 0.5
     v_floor: float = 0.1
@@ -83,8 +84,8 @@ class Scenario:
     hyper: Hyperparams
     power_calibration: Path
     rng_seed: int = 0
-    resolution: float = 0.5
-    max_voxels: int = 20_000_000
+    resolution: float = DEFAULT_RESOLUTION
+    max_voxels: int = DEFAULT_MAX_VOXELS
     name: str = "scenario"
 
 
@@ -111,7 +112,6 @@ def _check_hyper(hyper: Hyperparams, errors: list):
         "hyperparams.n_pop: must be >= 8 and divisible by 4",
     )
     bad(hyper.n_nurbs < 2, "hyperparams.n_nurbs: must be >= 2")
-    bad(hyper.m_uav <= 0, "hyperparams.m_uav: must be > 0")
     bad(hyper.k_a < 0 or hyper.k_b < 0, "hyperparams.k_a/k_b: must be >= 0")
     bad(abs(hyper.k_a + hyper.k_b - 1.0) > 1e-9, "hyperparams.k_a/k_b: must sum to 1")
     bad(hyper.v_floor <= 0, "hyperparams.v_floor: must be > 0")
@@ -229,10 +229,10 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None, name: str = "sc
         if hull is not None:
             hulls.append(hull)
 
-    resolution = float(_field(env_data, "resolution", "environment.", 0.5, errors))
+    resolution = float(_field(env_data, "resolution", "environment.", DEFAULT_RESOLUTION, errors))
     if resolution <= 0:
         errors.append("environment.resolution: must be > 0")
-    max_voxels = _field(env_data, "max_voxels", "environment.", 20_000_000, errors, int)
+    max_voxels = _field(env_data, "max_voxels", "environment.", DEFAULT_MAX_VOXELS, errors, int)
 
     mission = _section(data.get("mission", {}), "mission", errors)
     ends = {}

@@ -19,6 +19,8 @@ from .errors import PlanningFailureError, ValidationError
 from .moo import Bounds, _layout_views, decision_arity, decode
 from .nurbs import sample_uniform
 
+MAX_HALVINGS = 3
+
 
 @dataclass(frozen=True)
 class SeedingParams:
@@ -256,17 +258,16 @@ def build_feasible_seed(
     r_uav: float,
     params: SeedingParams,
     v_floor: float = costs_mod.DEFAULT_V_FLOOR,
-    max_halvings: int = 3,
 ) -> SeedResult:
     """Seed path whose smoothed curve satisfies both hard constraints.
 
     NURBS smoothing can pull the curve off the collision-free polyline;
     when that breaks a constraint the node spacing is halved (at most
-    max_halvings times) and the search repeated. ``v_floor`` is unused; it
+    MAX_HALVINGS times) and the search repeated. ``v_floor`` is unused; it
     stays so that existing keyword callers keep working.
     """
     delta = params.delta_rope
-    for halvings in range(max_halvings + 1):
+    for halvings in range(MAX_HALVINGS + 1):
         attempt_params = replace(params, delta_rope=delta)
         polyline = find_seed_path(env, start, goal, attempt_params, r_uav)
         decision = polyline_to_decision_vector(polyline, v_cruise, degree)
@@ -277,5 +278,5 @@ def build_feasible_seed(
             return SeedResult(decision=decision, delta_rope_used=delta, halvings=halvings)
         delta /= 2.0
     raise PlanningFailureError(
-        f"seed stayed infeasible after {max_halvings} delta_rope halvings"
+        f"seed stayed infeasible after {MAX_HALVINGS} delta_rope halvings"
     )

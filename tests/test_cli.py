@@ -115,8 +115,18 @@ class TestVoteCommand:
             None, "not json {", json.dumps({"selected_index": 0}), json.dumps([1, 2]),
             json.dumps({"front": [member_entry(None), member_entry(2.0)]}),
             json.dumps({"front": [member_entry("x"), member_entry(2.0)]}),
+            json.dumps({"front": [member_entry("1.5"), member_entry(2.0)]}),
+            json.dumps({"front": [member_entry(True), member_entry(2.0)]}),
+            json.dumps({"front": [{**member_entry(2.0), "decision": ["1.0"] * 7}]}),
+            json.dumps({"front": [{
+                **member_entry(2.0),
+                "constraints": {"max_accel_violation": False, "collision_violation": 0.0},
+            }]}),
         ],
-        ids=["missing", "not-json", "no-front", "not-an-object", "null-cost", "text-cost"],
+        ids=[
+            "missing", "not-json", "no-front", "not-an-object", "null-cost", "text-cost",
+            "numeric-string", "bool-cost", "text-decision", "bool-violation",
+        ],
     )
     def test_unreadable_front_exit_code(self, tmp_path, capsys, content):
         path = tmp_path / "pareto.json"

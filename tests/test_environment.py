@@ -334,15 +334,6 @@ class TestPerAxisKernels:
         with pytest.raises(OutOfDomainError):
             sdf.query(pts)
 
-    def test_scalar_query_matches_reference(self):
-        rng = np.random.default_rng(11)
-        sdf = random_field(rng, (5, 6, 7))
-        for p in border_points(sdf)[::7]:
-            want = reference_query(sdf, p)[0]
-            got = sdf.query(p, out_of_range="nan")
-            assert np.isscalar(got) or np.ndim(got) == 0
-            assert np.array_equal(got, want, equal_nan=True)
-
     def test_query_on_built_field_matches_reference(self):
         domain = DomainBox(min_corner=[0, 0, 0], max_corner=[12, 9, 6], v_max=1.0)
         sdf = build_sdf([SphereObstacle(center=[6, 4, 3], radius=1.5)], domain, 0.5)

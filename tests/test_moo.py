@@ -442,19 +442,3 @@ class TestFinalScores:
             fresh = evaluate(ind.decision, ctx)
             assert fresh.costs == ind.costs
             assert fresh.constraints == ind.constraints
-
-
-class TestTimeOnlyConvergence:
-    def test_time_only_matches_benchmark_protocol(self, tmp_path):
-        # Restricting the sort to the time objective must land within 10%
-        # of a multi-run single-objective benchmark on the corridor world.
-        from riskplan.pipeline import benchmark_single_objective
-
-        scn = make_corridor_scenario(tmp_path, n_gen=300)
-        bench = benchmark_single_objective(
-            scn, "time", n_runs=8, n_gen=400, base_seed=500
-        )
-        single = benchmark_single_objective(
-            scn, "time", n_runs=1, n_gen=300, base_seed=900
-        )
-        assert single["best_value"] <= bench["best_value"] * 1.10

@@ -12,7 +12,6 @@ from riskplan.errors import FitError, ValidationError
 from riskplan.moo import _decode_batch, decode, evaluate
 from riskplan.nurbs import sample_uniform
 from riskplan.pipeline import (
-    benchmark_single_objective,
     build_scenario_environment,
     fit_power_report,
     load_front,
@@ -103,11 +102,10 @@ class TestPlanOutputs:
         for name in ("pareto.json", "trajectory.csv", "generations.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_metadata_records_seed_and_m_uav(self, planned):
+    def test_metadata_records_seed(self, planned):
         scn, _, out = planned
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["rng_seed"] == scn.rng_seed
-        assert meta["m_uav"] == scn.hyper.m_uav
         assert "timings" in meta
 
     def test_generation_log_matches_interface(self, planned):
@@ -147,6 +145,19 @@ class TestSweep:
         assert len(rows) == 11
         assert rows[0]["value"] == 0.0
         assert rows[-1]["value"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "spec, values",
+        [
+            ({"start": 0, "stop": 0.5, "step": 0.3}, [0.0, 0.3]),
+            ({"stop": 0.9, "step": 0.35}, [0.0, 0.35, 0.7]),
+        ],
+        ids=["short-last-step", "step-past-one"],
+    )
+    def test_risk_sweep_stops_at_stop(self, tmp_path, spec, values):
+        scn = make_corridor_scenario(tmp_path, n_gen=20)
+        rows = sweep(scn, {"kind": "risk", "axis": "wind", **spec})
+        assert [row["value"] for row in rows] == pytest.approx(values)
 
     def test_coefficient_simplex_66_rows(self, tmp_path):
         scn = make_corridor_scenario(tmp_path, n_gen=100)
@@ -258,17 +269,3 @@ class TestFitPowerReport:
         lo, hi = report["limits_of_agreement_w"]
         assert lo <= report["mean_error_w"] <= hi
         assert hi - lo == pytest.approx(2 * 1.96 * report["sigma_w"])
-
-
-class TestBenchmark:
-    def test_single_objective_benchmark_runs(self, tmp_path):
-        scn = make_corridor_scenario(tmp_path, n_gen=100)
-        metrics = benchmark_single_objective(scn, "time", n_runs=3, n_gen=150, base_seed=50)
-        assert metrics["objective"] == "time"
-        assert metrics["best_value"] == pytest.approx(metrics["time_s"])
-        assert metrics["best_value"] > 0
-
-    def test_unknown_objective(self, tmp_path):
-        scn = make_corridor_scenario(tmp_path, n_gen=50)
-        with pytest.raises(ValidationError):
-            benchmark_single_objective(scn, "smoothness", n_runs=1, n_gen=10)

@@ -121,6 +121,7 @@ MALFORMED = {
     "fractional-seed": (("rng_seed",), 1.5, "rng_seed"),
     "text-n_gen": (("hyperparams", "n_gen"), "x", "hyperparams.n_gen"),
     "text-v_max": (("hyperparams", "v_max"), "2", "hyperparams.v_max"),
+    "removed-m_uav": (("hyperparams", "m_uav"), 4.2, "hyperparams.m_uav: unknown hyperparameter"),
     "fractional-n_gen": (("hyperparams", "n_gen"), 2.5, "hyperparams.n_gen"),
     "fractional-n_nurbs": (("hyperparams", "n_nurbs"), 3.5, "hyperparams.n_nurbs"),
     "negative-rrt_max_iters": (("hyperparams", "rrt_max_iters"), -5, "hyperparams.rrt_max_iters"),
