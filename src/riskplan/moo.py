@@ -8,10 +8,16 @@ population noise, and ``_control_net`` reads them into control nets for both
 ``decode`` and the batch path. A population is sampled by
 ``nurbs.rational_blend`` at the context's precomputed basis rows, the same
 evaluator ``nurbs.sample_uniform`` uses, so a decoded member samples to
-exactly the points that were scored. Constraint handling is the
-feasibility-first dominance rule: feasible beats infeasible, infeasible
-compare on total violation. Ranking is by front, then by crowding distance
-(Deb et al. 2002), in one loop, ``_rank_and_crowding``.
+exactly the points that were scored. Both the decode and the hull cost in
+``evaluate_batch`` skip exact zeros: the blend sums only each row's band of
+non-zero basis values, and ``costs._hull_cost_batch`` evaluates a hull only
+on the trajectories that come within ``r_ch_max`` (plus a rounding slack) of
+its box. Each skipped term is a zero basis value times the net or a +0 hull
+cost, so the scores keep the bits of the dense computation.
+
+Constraint handling is the feasibility-first dominance rule: feasible beats
+infeasible, infeasible compare on total violation. Ranking is by front, then
+by crowding distance (Deb et al. 2002), in one loop, ``_rank_and_crowding``.
 
 The generational loop works on plain arrays for speed; ``make_individual``
 builds the dataclass members that cross the module boundary.
@@ -261,14 +267,12 @@ def evaluate_batch(decisions: np.ndarray, ctx: EvaluationContext) -> tuple[np.nd
 
     time = costs_mod._time_batch(segment_lengths, speeds, ctx.v_floor)
 
-    flat = positions.reshape(-1, 3)
-    d_obs = ctx.env.clearance(flat, out_of_range="nan").reshape(speeds.shape)
+    d_obs = ctx.env.clearance(positions.reshape(-1, 3), out_of_range="nan").reshape(speeds.shape)
     in_domain = np.all(np.isfinite(d_obs), axis=1)
     d_safe = np.nan_to_num(d_obs, nan=0.0)
 
     sdf_costs = costs_mod.sdf_point_cost(d_safe, ctx.safety)
-    hull_costs = costs_mod._hull_cost_batch(flat, ctx.env.hulls, ctx.safety.r_ch_max)
-    hull_costs = hull_costs.reshape(speeds.shape)
+    hull_costs = costs_mod._hull_cost_batch(positions, ctx.env.hulls, ctx.safety.r_ch_max)
     safety = costs_mod._safety_batch(sdf_costs, hull_costs, ctx.safety.k_a, ctx.safety.k_b)
 
     energy, power_ok = costs_mod._energy_batch(

@@ -7,6 +7,12 @@ for the sample parameters times the weighted control net
 both call it, so an emitted sample set is bit-identical to the one the
 optimizer scored. Curves are immutable values and evaluation is pure, so
 sampling can run concurrently.
+
+By local support (The NURBS Book, section 2.2) a basis row has at most
+degree+1 non-zero values, in adjacent columns. ``rational_blend`` sums the
+numerator over that band only, in increasing column order from zero, which
+is the order of a dense sequential sum; every skipped term is an exact zero,
+so the sums keep the bits of the dense sum.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ def basis_functions(knots, degree: int, u: float) -> tuple[np.ndarray, int]:
     """
     knots = np.asarray(knots, dtype=float)
     lo, hi = knots[degree], knots[-degree - 1]
-    if u < lo or u > hi:
+    if not lo <= u <= hi:  # also rejects NaN
         raise ParameterRangeError(f"parameter {u} outside curve range [{lo}, {hi}]")
     span = find_span(knots, degree, u)
     values = np.zeros(degree + 1)
@@ -142,10 +148,29 @@ def rational_blend(basis: np.ndarray, weights: np.ndarray, control_points: np.nd
     sum_i N_i w_i P_i / sum_i N_i w_i. The first and last rows must be the
     ends of the parameter range: clamped ends interpolate the end control
     points, which are copied exactly.
+
+    The numerator of row q runs over the ``width`` adjacent columns that
+    hold every non-zero of the row (the widest row sets ``width``; for a
+    B-spline basis it is at most degree+1), starting from zero and adding
+    (N_i w_i) P_i in increasing i. A dense sum in that order adds only exact
+    zeros besides, so the result has its bits. It is laid out (D, N, Q), so
+    every step works on contiguous rows. The denominator stays a dense
+    ``einsum``: its summation order is not sequential, and it carries a
+    non-finite weight into every row.
     """
     den = np.einsum("qc,nc->nq", basis, weights)
-    num = np.einsum("qc,nc,ncd->nqd", basis, weights, control_points)
-    points = num / den[:, :, None]
+    n_rows, n_cols = basis.shape
+    nonzero = basis != 0
+    first = nonzero.argmax(axis=1)
+    width = n_cols - int((nonzero[:, ::-1].argmax(axis=1) + first).min())
+    cols = np.minimum(first, n_cols - width) + np.arange(width)[:, None]  # (width, Q)
+    weighted = basis.take(cols + np.arange(0, basis.size, n_cols)) * weights[:, cols]
+    net = np.ascontiguousarray(control_points.transpose(2, 0, 1))  # (D, N, C)
+    num = np.zeros((net.shape[0], len(weights), n_rows))
+    for k in range(width):
+        num += weighted[:, k] * net.take(cols[k], axis=2)
+    num /= den
+    points = num.transpose(1, 2, 0).copy()
     points[:, 0, :] = control_points[:, 0, :]
     points[:, -1, :] = control_points[:, -1, :]
     return points

@@ -100,36 +100,48 @@ class TestSdfPointCost:
 class TestHullPointCost:
     HULL = OrientedHull(center=[0, 0, 0], half_extents=[1, 1, 1], rotation=np.eye(3))
 
+    @staticmethod
+    def cost_at(points, hulls, r_ch_max=2.0):
+        """Cost of one trajectory through the given points."""
+        return _hull_cost_batch(np.asarray(points, dtype=float)[None], hulls, r_ch_max)[0]
+
     def test_inside(self):
-        assert _hull_cost_batch(np.array([[0.0, 0, 0]]), [self.HULL], 2.0)[0] == 1.0
+        assert self.cost_at([[0.0, 0, 0]], [self.HULL])[0] == 1.0
 
     def test_linear_branch(self):
-        assert _hull_cost_batch(np.array([[2.0, 0, 0]]), [self.HULL], 2.0)[0] == pytest.approx(0.5)
+        assert self.cost_at([[2.0, 0, 0]], [self.HULL])[0] == pytest.approx(0.5)
 
     def test_outside_influence(self):
-        assert _hull_cost_batch(np.array([[4.0, 0, 0]]), [self.HULL], 2.0)[0] == 0.0
+        assert self.cost_at([[4.0, 0, 0]], [self.HULL])[0] == 0.0
 
     def test_sums_over_hulls(self):
         other = OrientedHull(center=[0.5, 0, 0], half_extents=[1, 1, 1], rotation=np.eye(3))
-        cost = _hull_cost_batch(np.array([[0.25, 0, 0]]), [self.HULL, other], 2.0)
+        cost = self.cost_at([[0.25, 0, 0]], [self.HULL, other])
         assert cost[0] == pytest.approx(2.0)
 
     def test_continuity_and_zero_iff_clear(self):
         xs = np.linspace(0, 5, 2000)
         points = np.column_stack([xs, np.zeros_like(xs), np.zeros_like(xs)])
-        costs = _hull_cost_batch(points, [self.HULL], 2.0)
+        costs = self.cost_at(points, [self.HULL])
         assert np.max(np.abs(np.diff(costs))) < 1e-2
         assert np.all((costs == 0) == (xs >= 3.0))
 
 
 class FixedDistanceHull:
-    """Stand-in hull whose signed distance is a given array."""
+    """Stand-in hull whose signed distance is a given array. Its box (unit
+    half extents at the origin) covers the points it is given, which all lie
+    at the origin, so the hull cost never skips them."""
+
+    center = np.zeros(3)
+    half_extents = np.ones(3)
+    rotation = np.eye(3)
 
     def __init__(self, distances):
         self.distances = distances
 
     def signed_distance(self, points):
         assert points.shape == self.distances.shape + (3,)
+        assert not np.any(points)
         return self.distances
 
 
@@ -145,23 +157,114 @@ class TestHullCostClamp:
 
     @staticmethod
     def distances(seed, r_ch_max):
+        """One trajectory of distances: the edge cases, then random ones."""
         rng = np.random.default_rng(seed)
         edges = [
             0.0, -0.0, r_ch_max, np.nextafter(r_ch_max, 0.0), np.nextafter(r_ch_max, np.inf),
             5e-324, -5e-324, 1e-300, np.nan, np.inf, -np.inf, -r_ch_max, 2.0 * r_ch_max,
         ]
         random = rng.uniform(-2.0 * r_ch_max, 3.0 * r_ch_max, 100_000)
-        return np.concatenate([edges, random])
+        return np.concatenate([edges, random])[None]
 
     @pytest.mark.parametrize("r_ch_max", [2.0, 0.7, 1.0 / 3.0], ids=["2", "0.7", "1/3"])
     def test_bit_identical_to_nested_where(self, r_ch_max):
         d = self.distances(int(r_ch_max * 1000), r_ch_max)
-        points = np.zeros(d.shape + (3,))
-        for sets in ([d], [d, d[::-1].copy()]):
-            got = _hull_cost_batch(points, [FixedDistanceHull(x) for x in sets], r_ch_max)
+        positions = np.zeros(d.shape + (3,))
+        for sets in ([d], [d, d[:, ::-1].copy()]):
+            got = _hull_cost_batch(positions, [FixedDistanceHull(x) for x in sets], r_ch_max)
             want = self.reference(sets, r_ch_max)
             assert np.array_equal(got, want, equal_nan=True)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def unculled_hull_cost(positions, hulls, r_ch_max):
+    """Reference: every hull's cost at every point, summed in hull order."""
+    total = np.zeros(positions.shape[:-1])
+    flat = positions.reshape(-1, 3)
+    for hull in hulls:
+        d = hull.signed_distance(flat).reshape(total.shape)
+        total += np.minimum(np.maximum(1.0 - d / r_ch_max, 0.0), 1.0)
+    return total
+
+
+def random_rotation(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0 else -q
+
+
+class TestHullCulling:
+    """Skipping (trajectory, hull) pairs outside the grown box keeps every bit."""
+
+    @staticmethod
+    def assert_same_bits(positions, hulls, r_ch_max):
+        got = _hull_cost_batch(positions, hulls, r_ch_max)
+        want = unculled_hull_cost(positions, hulls, r_ch_max)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        return got
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rotated_hulls_near_and_far_population(self, seed):
+        rng = np.random.default_rng(seed)
+        hulls = [
+            OrientedHull(
+                center=rng.uniform([5, 5, 2], [55, 35, 14]),
+                half_extents=rng.uniform(0.3, 4.0, 3),
+                rotation=random_rotation(rng) if k % 3 else np.eye(3),
+            )
+            for k in range(8)
+        ]
+        starts = rng.uniform([0, 0, 0], [60, 40, 16], (40, 1, 3))
+        steps = rng.normal(scale=0.4, size=(40, 60, 3))
+        positions = starts + np.cumsum(steps, axis=1)
+        r_ch_max = [2.0, 0.7, 1.0 / 3.0][seed % 3]
+        got = self.assert_same_bits(positions, hulls, r_ch_max)
+        clear = np.all(got == 0.0, axis=1)
+        assert clear.any() and not clear.all()
+
+    @pytest.mark.parametrize("rotated", [False, True], ids=["axis-aligned", "rotated"])
+    @pytest.mark.parametrize("r_ch_max", [2.0, 0.7, 1.0 / 3.0], ids=["2", "0.7", "1/3"])
+    def test_points_ulps_from_the_influence_radius(self, rotated, r_ch_max):
+        rng = np.random.default_rng(11)
+        rotation = random_rotation(rng) if rotated else np.eye(3)
+        half = np.array([1.5, 0.75, 2.25])
+        hull = OrientedHull(center=[31.3, 17.9, 6.1], half_extents=half, rotation=rotation)
+        directions = {
+            "face": np.array([1.0, 0.0, 0.0]),
+            "edge": np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0),
+            "corner": np.array([-1.0, 1.0, 1.0]) / np.sqrt(3.0),
+        }
+        rows = []
+        for direction in directions.values():
+            on_surface = half * np.where(direction == 0.0, 0.0, np.sign(direction))
+            radius = r_ch_max
+            for _ in range(4):
+                radius = np.nextafter(radius, 0.0)
+            for _ in range(9):
+                local = on_surface + radius * direction
+                rows.append(hull.center + rotation @ local)
+                radius = np.nextafter(radius, np.inf)
+        # One trajectory per point, each point repeated so Q > 1.
+        positions = np.repeat(np.array(rows)[:, None, :], 2, axis=1)
+        got = self.assert_same_bits(positions, [hull], r_ch_max)
+        assert np.any(got > 0.0) and np.any(got == 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_is_never_skipped(self, bad):
+        hulls = [
+            OrientedHull(center=[5, 5, 5], half_extents=[1, 1, 1], rotation=np.eye(3)),
+            OrientedHull(center=[9, 5, 5], half_extents=[1, 2, 1], rotation=np.eye(3)),
+        ]
+        xs = np.linspace(0.0, 14.0, 30)
+        near = np.column_stack([xs, np.full(30, 5.0), np.full(30, 5.0)])
+        far = near + [0.0, 30.0, 0.0]
+        positions = np.stack([near, far, far.copy()])
+        positions[2, 7, 0] = bad  # x is non-finite; y alone puts the row far away
+        with np.errstate(invalid="ignore"):  # inf * 0 in the hull rotation
+            got = self.assert_same_bits(positions, hulls, 2.0)
+        assert np.isnan(got[2, 7])
+        assert np.all(got[1] == 0.0)
 
 
 class TestSafetyCost:
@@ -173,8 +276,8 @@ class TestSafetyCost:
         # shift far from the obstacle corner
         positions = samples.positions + np.array([15, 3, 0])
         sdf = sdf_point_cost(env.clearance(positions), PARAMS)
-        hull = _hull_cost_batch(positions, env.hulls, PARAMS.r_ch_max)
-        assert _safety_batch(sdf[None], hull[None], PARAMS.k_a, PARAMS.k_b)[0] == 0.0
+        hull = _hull_cost_batch(positions[None], env.hulls, PARAMS.r_ch_max)
+        assert _safety_batch(sdf[None], hull, PARAMS.k_a, PARAMS.k_b)[0] == 0.0
 
     def test_constant_field_mean_equals_max(self):
         # Constant per-point cost 0.25 and no hulls: 0.5*(0.25+0.25) = 0.25.
@@ -186,8 +289,8 @@ class TestSafetyCost:
         samples = straight_samples(10.0, 21, 1.0, z=2.75)
         positions = samples.positions + np.array([5, 0, 0])
         sdf = sdf_point_cost(env.clearance(positions), PARAMS)
-        hull = _hull_cost_batch(positions, env.hulls, PARAMS.r_ch_max)
-        got = _safety_batch(sdf[None], hull[None], PARAMS.k_a, PARAMS.k_b)[0]
+        hull = _hull_cost_batch(positions[None], env.hulls, PARAMS.r_ch_max)
+        got = _safety_batch(sdf[None], hull, PARAMS.k_a, PARAMS.k_b)[0]
         assert got == pytest.approx(0.25, abs=1e-9)
 
     def test_upper_bound(self):
@@ -202,9 +305,9 @@ class TestSafetyCost:
             [np.linspace(4.5, 5.5, 9), np.full(9, 5.0), np.full(9, 5.0)]
         )
         sdf = sdf_point_cost(env.clearance(positions), PARAMS)
-        hull = _hull_cost_batch(positions, env.hulls, PARAMS.r_ch_max)
+        hull = _hull_cost_batch(positions[None], env.hulls, PARAMS.r_ch_max)
         bound = PARAMS.k_a * 2 + PARAMS.k_b * 2 * len(hulls)
-        assert _safety_batch(sdf[None], hull[None], PARAMS.k_a, PARAMS.k_b)[0] <= bound
+        assert _safety_batch(sdf[None], hull, PARAMS.k_a, PARAMS.k_b)[0] <= bound
 
     def test_reversal_invariance(self):
         domain = DomainBox(min_corner=[0, 0, 0], max_corner=[20, 10, 10], v_max=2.0)

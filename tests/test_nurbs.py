@@ -12,6 +12,7 @@ from riskplan.nurbs import (
     basis_matrix,
     find_span,
     make_clamped_uniform_knots,
+    rational_blend,
     sample_uniform,
 )
 
@@ -66,6 +67,10 @@ class TestBasisFunctions:
     def test_out_of_range(self):
         with pytest.raises(ParameterRangeError):
             basis_functions([0, 0, 0, 1, 1, 1], 2, 1.5)
+
+    def test_nan_parameter(self):
+        with pytest.raises(ParameterRangeError):
+            basis_functions(make_clamped_uniform_knots(6, 3), 3, np.nan)
 
     def test_span_at_endpoints(self):
         knots = make_clamped_uniform_knots(6, 3)
@@ -131,6 +136,11 @@ class TestEvaluate:
         curve = s_curve()
         with pytest.raises(ParameterRangeError):
             basis_matrix(curve.knots, curve.degree, np.array([0.5, -0.1]))
+
+    def test_nan_parameter(self):
+        curve = s_curve()
+        with pytest.raises(ParameterRangeError):
+            basis_matrix(curve.knots, curve.degree, np.array([0.5, np.nan]))
 
     def test_convex_hull_property(self):
         # Every sampled point is a convex combination of the control points
@@ -217,3 +227,58 @@ class TestBasisMatrix:
         assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-12)
         values, span = basis_functions(knots, 3, params[7])
         assert mat[7, span - 3 : span + 1] == pytest.approx(values)
+
+
+def reference_blend(basis, weights, control_points):
+    """The dense form of ``rational_blend``: one three-operand einsum for the
+    numerator, which sums (N_i w_i) P_i over every column in order."""
+    den = np.einsum("qc,nc->nq", basis, weights)
+    num = np.einsum("qc,nc,ncd->nqd", basis, weights, control_points)
+    points = num / den[:, :, None]
+    points[:, 0, :] = control_points[:, 0, :]
+    points[:, -1, :] = control_points[:, -1, :]
+    return points
+
+
+class TestRationalBlend:
+    """The banded numerator keeps every bit of the dense sum."""
+
+    @staticmethod
+    def net(rng, n_curves, n_ctrl):
+        weights = rng.uniform(0.1, 10.0, (n_curves, n_ctrl))
+        ctrl = rng.uniform(-30.0, 30.0, (n_curves, n_ctrl, 4))
+        ctrl[rng.random(ctrl.shape) < 0.15] = 0.0
+        ctrl[rng.random(ctrl.shape) < 0.15] = -0.0
+        ctrl[rng.random((n_curves, n_ctrl)) < 0.1] = -0.0  # whole rows of -0
+        return weights, ctrl
+
+    @pytest.mark.parametrize("n_curves", [1, 40])
+    @pytest.mark.parametrize("degree", [2, 3, 4, 5])
+    def test_bit_identical_to_dense_sum(self, n_curves, degree):
+        rng = np.random.default_rng(100 * degree + n_curves)
+        for n_ctrl in range(degree + 1, 23):
+            knots = make_clamped_uniform_knots(n_ctrl, degree)
+            for n_samples in (2, 50, 200):
+                basis = basis_matrix(knots, degree, np.linspace(0.0, 1.0, n_samples))
+                weights, ctrl = self.net(rng, n_curves, n_ctrl)
+                got = rational_blend(basis, weights, ctrl)
+                want = reference_blend(basis, weights, ctrl)
+                assert got.flags.c_contiguous
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_matches_dense_sum(self, bad):
+        rng = np.random.default_rng(5)
+        knots = make_clamped_uniform_knots(9, 3)
+        basis = basis_matrix(knots, 3, np.linspace(0.0, 1.0, 50))
+        weights, ctrl = self.net(rng, 6, 9)
+        weights[1, 0] = bad
+        weights[3, 4] = bad
+        weights[5, 8] = bad
+        with np.errstate(invalid="ignore"):
+            got = rational_blend(basis, weights, ctrl)
+            want = reference_blend(basis, weights, ctrl)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.isnan(got[[1, 3, 5], 1:-1]).all()
+        assert np.array_equal(got, want, equal_nan=True)

@@ -15,7 +15,10 @@ pinned to one thread before numpy loads.
 The set:
 - ``scenarios/corridor.json`` at rng seeds 7 and 8 (its 1000 generations):
   ``pareto.json``, ``trajectory.csv``, ``generations.csv``;
-- the ``perfbench/city.py`` worlds 7 and 8: the same three files;
+- the ``perfbench/city.py`` worlds 7, 8 and 9: the same three files. On
+  worlds 7 and 8 about 4% of (trajectory, hull) pairs lie inside the hull
+  cost's cull box, on world 9 about 20%, so both the skipped and the
+  computed branch of ``costs._hull_cost_batch`` are covered;
 - the corridor with 100 generations, seeds 7 and 8: ``sweep.csv`` of the
   ``coefficients`` sweep at spacing 0.02 and of the ``replan`` wind sweep
   at step 0.25.
@@ -37,6 +40,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 PLAN_FILES = ("pareto.json", "trajectory.csv", "generations.csv")
 SEEDS = (7, 8)
+CITY_WORLDS = (7, 8, 9)
 SWEEP_N_GEN = 100
 SWEEPS = {
     "coefficients": ({"kind": "coefficients", "spacing": 0.02}, False),
@@ -69,16 +73,14 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        for seed in SEEDS:
-            city_data, _ = city.city_scenario(seed)
-            runs = {
-                f"corridor-{seed}": replace(corridor, rng_seed=seed),
-                f"city-{seed}": scenario_from_dict(city_data, base_dir=scenarios, name="city"),
-            }
-            for label, scn in runs.items():
-                plan(scn, out_dir=out / label)
-                for name in PLAN_FILES:
-                    print(f"{_digest(out / label / name)}  {label}/{name}", flush=True)
+        runs = {f"corridor-{seed}": replace(corridor, rng_seed=seed) for seed in SEEDS}
+        for world in CITY_WORLDS:
+            city_data, _ = city.city_scenario(world)
+            runs[f"city-{world}"] = scenario_from_dict(city_data, base_dir=scenarios, name="city")
+        for label, scn in runs.items():
+            plan(scn, out_dir=out / label)
+            for name in PLAN_FILES:
+                print(f"{_digest(out / label / name)}  {label}/{name}", flush=True)
         for label, (spec, replan) in SWEEPS.items():
             for seed in SEEDS:
                 run = f"sweep-{label}-{seed}"
