@@ -33,7 +33,6 @@ from .environment import Environment, SafetyParams
 from .nurbs import TrajectorySamples
 from .power import PowerQuadricModel, power_for_directions
 
-DEFAULT_V_FLOOR = 0.1
 _MIN_SEGMENT = 1e-6
 _CULL_SLACK = 1e-3
 
@@ -123,12 +122,12 @@ def _hull_cost_batch(positions: np.ndarray, hulls, r_ch_max: float) -> np.ndarra
     Culling: a hull is evaluated only on the trajectories whose per-axis
     bounding box overlaps its world box, centre +- |R| half_extents, grown by
     r_ch_max plus a slack of ``_CULL_SLACK`` times (|centre|_inf +
-    sum(half_extents) + r_ch_max). The slack is larger than the rounding of
-    the box test and of ``signed_distance`` (a few 1e-16 of that scale) and
-    than the shift of the zero-cost surface that a rotation accepted by
-    ``OrientedHull`` can cause (its check lets R^T R be 1e-5 off the
-    identity on the diagonal, which moves the surface by up to about 1e-4 of
-    the scale). So every point of a skipped trajectory has signed distance
+    sum(half_extents) + r_ch_max). The slack is far larger than the rounding
+    of the box test and of ``signed_distance`` (a few 1e-16 of that scale)
+    and than the shift of the zero-cost surface that a rotation accepted by
+    ``OrientedHull`` can cause (its check keeps every entry of R^T R within
+    1e-9 of the identity, which moves the surface by about 1e-9 of the
+    scale). So every point of a skipped trajectory has signed distance
     >= r_ch_max, where the cost is exactly +0, and the sums keep their bits.
     The test is written so that a NaN compares as near, and a trajectory
     with any non-finite coordinate is never skipped: its distance can be

@@ -148,7 +148,7 @@ class OrientedHull:
         rot = np.asarray(self.rotation, dtype=float)
         if rot.shape != (3, 3):
             raise ValidationError("hull rotation must be a 3x3 matrix")
-        if not np.allclose(rot.T @ rot, np.eye(3), atol=1e-9):
+        if not np.allclose(rot.T @ rot, np.eye(3), rtol=0.0, atol=1e-9):
             raise ValidationError("hull rotation must be orthonormal within 1e-9")
         object.__setattr__(self, "rotation", rot)
         if not np.all(self.half_extents > 0):
@@ -183,22 +183,26 @@ class SafetyParams:
     r_sdf_min: float
     r_sdf_max: float
     r_ch_max: float
-    k_a: float = 0.5
-    k_b: float = 0.5
-    r_uav: float = 0.5
+    k_a: float
+    k_b: float
+    r_uav: float
 
     def __post_init__(self):
         problems = []
-        if not 0 < self.r_sdf_min < self.r_sdf_max:
-            problems.append("0 < r_sdf_min < r_sdf_max required")
+        if not self.r_sdf_min > 0:
+            problems.append("r_sdf_min: must be > 0")
+        if not self.r_sdf_max > self.r_sdf_min:
+            problems.append("r_sdf_max: must be > r_sdf_min")
         if not self.r_ch_max > 0:
-            problems.append("r_ch_max must be > 0")
-        if self.k_a < 0 or self.k_b < 0:
-            problems.append("k_a and k_b must be >= 0")
+            problems.append("r_ch_max: must be > 0")
+        if self.k_a < 0:
+            problems.append("k_a: must be >= 0")
+        if self.k_b < 0:
+            problems.append("k_b: must be >= 0")
         if abs(self.k_a + self.k_b - 1.0) > 1e-9:
-            problems.append("k_a + k_b must equal 1")
+            problems.append(f"k_b: must equal 1 - k_a, got k_a + k_b = {self.k_a + self.k_b}")
         if self.r_uav < 0:
-            problems.append("r_uav must be >= 0")
+            problems.append("r_uav: must be >= 0")
         if problems:
             raise ValidationError(problems)
 

@@ -45,8 +45,6 @@ ERROR_COST_SENTINEL = 1e9
 ERROR_VIOLATION_SENTINEL = 1e6
 FRONT_DEDUP_TOL = 1e-9
 
-DEFAULT_WEIGHT_BOUNDS = (0.1, 10.0)
-
 
 def decision_arity(n_interior: int) -> int:
     return 5 * n_interior + 2
@@ -86,12 +84,7 @@ class Bounds:
         return np.clip(decisions, self.lower, self.upper)
 
 
-def build_bounds(
-    domain,
-    n_interior: int,
-    v_floor: float = costs_mod.DEFAULT_V_FLOOR,
-    weight_bounds: tuple = DEFAULT_WEIGHT_BOUNDS,
-) -> Bounds:
+def build_bounds(domain, n_interior: int, v_floor: float, weight_bounds: tuple) -> Bounds:
     lower = np.empty(decision_arity(n_interior))
     upper = np.empty_like(lower)
     for bound, corner, speed, weight in (
@@ -168,25 +161,27 @@ def make_individual(decision, cost_row, violation_row) -> EvaluatedIndividual:
 @dataclass(frozen=True)
 class MooParams:
     n_gen: int
-    pop_size: int
-    crossover_rate: float = 0.95
-    eta_crossover: float = 10.0
-    mutation_rate: Optional[float] = None  # default 1/D, resolved at run time
-    eta_mutation: float = 50.0
+    n_pop: int
+    crossover_rate: float
+    eta_crossover: float
+    mutation_rate: Optional[float]  # None: 1/D, resolved at run time
+    eta_mutation: float
     rng_seed: int = 0
 
     def __post_init__(self):
         problems = []
-        if self.pop_size < 8 or self.pop_size % 4 != 0:
-            problems.append("pop_size must be >= 8 and divisible by 4")
-        if not 0 <= self.crossover_rate <= 1:
-            problems.append("crossover_rate must be in [0, 1]")
-        if self.mutation_rate is not None and not 0 <= self.mutation_rate <= 1:
-            problems.append("mutation_rate must be in [0, 1]")
-        if self.eta_crossover <= 0 or self.eta_mutation <= 0:
-            problems.append("distribution indices must be > 0")
         if self.n_gen < 1:
-            problems.append("n_gen must be >= 1")
+            problems.append("n_gen: must be >= 1")
+        if self.n_pop < 8 or self.n_pop % 4 != 0:
+            problems.append("n_pop: must be >= 8 and divisible by 4")
+        if not 0 <= self.crossover_rate <= 1:
+            problems.append("crossover_rate: must be in [0, 1]")
+        if self.eta_crossover <= 0:
+            problems.append("eta_crossover: must be > 0")
+        if self.mutation_rate is not None and not 0 <= self.mutation_rate <= 1:
+            problems.append("mutation_rate: must be in [0, 1]")
+        if self.eta_mutation <= 0:
+            problems.append("eta_mutation: must be > 0")
         if problems:
             raise ValidationError(problems)
 
@@ -202,8 +197,6 @@ class EvaluationContext:
     goal: np.ndarray
     v_start: float
     v_goal: float
-    degree: int
-    n_samples: int
     a_max: float
     v_floor: float
     bounds: Bounds
@@ -222,8 +215,8 @@ def make_context(
     n_samples: int,
     a_max: float,
     n_interior: int,
-    v_floor: float = costs_mod.DEFAULT_V_FLOOR,
-    weight_bounds: tuple = DEFAULT_WEIGHT_BOUNDS,
+    v_floor: float,
+    weight_bounds: tuple,
 ) -> EvaluationContext:
     n_ctrl = n_interior + 2
     knots = make_clamped_uniform_knots(n_ctrl, degree)
@@ -238,8 +231,6 @@ def make_context(
         goal=np.asarray(goal, dtype=float),
         v_start=float(v_start),
         v_goal=float(v_goal),
-        degree=degree,
-        n_samples=n_samples,
         a_max=a_max,
         v_floor=v_floor,
         bounds=bounds,
@@ -496,9 +487,9 @@ def nsga2_minimize(
     ``batch_evaluate`` returned: (pop, objectives, violation, *extras).
     """
     pop = np.clip(np.asarray(initial, dtype=float), lower, upper)
-    if len(pop) != params.pop_size:
+    if len(pop) != params.n_pop:
         raise ValidationError(
-            f"initial population size {len(pop)} does not match pop_size {params.pop_size}"
+            f"initial population size {len(pop)} does not match n_pop {params.n_pop}"
         )
     rng = np.random.default_rng(params.rng_seed)
     mutation_rate = params.mutation_rate
@@ -522,7 +513,7 @@ def nsga2_minimize(
 
         comb_pop = np.vstack([pop, offspring])
         comb = [np.concatenate(pair) for pair in zip(scores, batch_evaluate(offspring))]
-        survivors, ranks, crowd = _select_survivors(comb[0], comb[1], params.pop_size)
+        survivors, ranks, crowd = _select_survivors(comb[0], comb[1], params.n_pop)
         pop = comb_pop[survivors]
         scores = tuple(arr[survivors] for arr in comb)
 

@@ -37,10 +37,9 @@ from .power import (
     load_power_samples,
     power_for_directions,
 )
-from .scenario import Scenario
-from .seeding import SeedingParams, SeedResult, build_feasible_seed, initial_population
+from .scenario import Scenario, run_settings
+from .seeding import SeedResult, build_feasible_seed, initial_population
 from .voting import VoteWeights, adjust_coefficients, vote
-from .environment import SafetyParams
 
 CONSTRAINT_EMIT_TOL = 1e-9
 SWEEP_COUNT_TOL = 1e-9
@@ -57,18 +56,6 @@ class PlanResult:
     generation_log: list
     metadata: dict
     context: EvaluationContext
-
-
-def _safety_params(scn: Scenario) -> SafetyParams:
-    h = scn.hyper
-    return SafetyParams(
-        r_sdf_min=h.r_sdf_min,
-        r_sdf_max=h.r_sdf_max,
-        r_ch_max=h.r_ch_max,
-        k_a=h.k_a,
-        k_b=h.k_b,
-        r_uav=h.r_uav,
-    )
 
 
 def build_scenario_environment(scn: Scenario) -> Environment:
@@ -115,26 +102,16 @@ def _prepare_run(
     power_model: PowerQuadricModel,
 ) -> tuple[SeedResult, EvaluationContext, np.ndarray, MooParams]:
     """Seed, evaluation context, initial population and optimizer settings
-    for one run of ``scn``.
-
-    The RNG streams are ``rng_seed`` for the RRT seed, ``rng_seed + 1`` for
-    the population noise and ``rng_seed + 2`` for NSGA-II.
+    for one run of ``scn``, on the RNG streams of ``scenario.run_settings``.
     """
     h = scn.hyper
-    seeding_params = SeedingParams(
-        delta_rope=h.delta_rope,
-        sigma_pos=h.sigma_pos,
-        sigma_speed=h.resolved_sigma_speed(),
-        rrt_step=h.rrt_step,
-        rrt_max_iters=h.rrt_max_iters,
-        rng_seed=scn.rng_seed,
-    )
+    safety, seeding_params, moo_params = run_settings(h, scn.rng_seed)
     seed = build_feasible_seed(
         env, scn.start, scn.goal, scn.v_start, scn.v_goal, h.resolved_v_cruise(),
         h.degree, h.n_nurbs, h.a_max, h.r_uav, seeding_params,
     )
     ctx = make_context(
-        env=env, power=power_model, safety=_safety_params(scn),
+        env=env, power=power_model, safety=safety,
         start=scn.start, goal=scn.goal, v_start=scn.v_start, v_goal=scn.v_goal,
         degree=h.degree, n_samples=h.n_nurbs, a_max=h.a_max,
         n_interior=interior_count(len(seed.decision)), v_floor=h.v_floor,
@@ -142,12 +119,6 @@ def _prepare_run(
     )
     population = initial_population(
         seed.decision, h.n_pop, ctx.bounds, replace(seeding_params, rng_seed=scn.rng_seed + 1)
-    )
-    moo_params = MooParams(
-        n_gen=h.n_gen, pop_size=h.n_pop,
-        crossover_rate=h.crossover_rate, eta_crossover=h.eta_crossover,
-        mutation_rate=h.mutation_rate, eta_mutation=h.eta_mutation,
-        rng_seed=scn.rng_seed + 2,
     )
     return seed, ctx, population, moo_params
 

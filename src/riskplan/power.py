@@ -18,17 +18,6 @@ import numpy as np
 
 from .errors import FitError, ValidationError
 
-_AXES = np.array(
-    [
-        [1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0],
-        [0.0, -1.0, 0.0],
-        [0.0, 0.0, 1.0],
-        [0.0, 0.0, -1.0],
-    ]
-)
-
 
 @dataclass(frozen=True)
 class PowerSample:

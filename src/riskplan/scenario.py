@@ -4,9 +4,21 @@ A scenario is one human-editable JSON document describing the world
 (domain, obstacles, keep-out hulls), the mission (start/goal and their
 speeds, current risks), every planner hyperparameter, and the path to the
 power calibration CSV. Validation collects all problems before failing so
-a bad file is reported once, completely. A value of the wrong JSON type is
-one such problem; hyperparameter types come from the ``Hyperparams`` field
-annotations.
+a bad file is reported once, completely.
+
+Where the rules live:
+- JSON types: a value of the wrong type is one problem; hyperparameter
+  types come from the ``Hyperparams`` field annotations.
+- Run settings: ``Hyperparams`` holds the only default of each. A setting
+  that ``SafetyParams``, ``SeedingParams`` or ``MooParams`` reads is checked
+  by that type alone; ``run_settings`` builds all three, here at load and in
+  ``pipeline`` at run time, and reports each problem as
+  ``hyperparams.<field>: ...``. ``_check_hyper`` checks the settings no such
+  type reads: speed and acceleration limits, curve degree, sample count
+  and the decision bounds.
+- World entries: the ``environment`` types check themselves; their
+  problems are reported under the entry's path.
+- Mission and file-level values are checked here.
 """
 
 from __future__ import annotations
@@ -26,10 +38,13 @@ from .environment import (
     CapsuleObstacle,
     DomainBox,
     OrientedHull,
+    SafetyParams,
     SphereObstacle,
     _vec3,
 )
 from .errors import ValidationError
+from .moo import MooParams
+from .seeding import SeedingParams
 from .voting import RiskState
 
 
@@ -89,39 +104,65 @@ class Scenario:
     name: str = "scenario"
 
 
+def run_settings(hyper: Hyperparams, rng_seed: int) -> tuple[SafetyParams, SeedingParams, MooParams]:
+    """The safety, seeding and NSGA-II settings of a run of ``hyper``.
+
+    The RNG streams are ``rng_seed`` for the RRT seed (the seeding settings
+    carry it; the population noise uses ``rng_seed + 1``) and
+    ``rng_seed + 2`` for NSGA-II. Raises one ValidationError with every
+    problem of all three types, each as ``hyperparams.<field>: ...``.
+    """
+    h = hyper
+    problems = []
+
+    def build(kind, **values):
+        try:
+            return kind(**values)
+        except ValidationError as exc:
+            problems.extend(f"hyperparams.{v}" for v in exc.violations)
+
+    safety = build(
+        SafetyParams, r_sdf_min=h.r_sdf_min, r_sdf_max=h.r_sdf_max, r_ch_max=h.r_ch_max,
+        k_a=h.k_a, k_b=h.k_b, r_uav=h.r_uav,
+    )
+    seeding = build(
+        SeedingParams, delta_rope=h.delta_rope, sigma_pos=h.sigma_pos,
+        sigma_speed=h.resolved_sigma_speed(), rrt_step=h.rrt_step,
+        rrt_max_iters=h.rrt_max_iters, rng_seed=rng_seed,
+    )
+    moo = build(
+        MooParams, n_gen=h.n_gen, n_pop=h.n_pop, crossover_rate=h.crossover_rate,
+        eta_crossover=h.eta_crossover, mutation_rate=h.mutation_rate,
+        eta_mutation=h.eta_mutation, rng_seed=rng_seed + 2,
+    )
+    if problems:
+        raise ValidationError(problems)
+    return safety, seeding, moo
+
+
 def _check_hyper(hyper: Hyperparams, errors: list):
+    """The rules of the settings that no type of ``run_settings`` reads."""
+
     def bad(cond, msg):
         if cond:
-            errors.append(msg)
+            errors.append(f"hyperparams.{msg}")
 
-    bad(hyper.v_max <= 0, "hyperparams.v_max: must be > 0")
-    bad(hyper.a_max <= 0, "hyperparams.a_max: must be > 0")
+    bad(hyper.v_max <= 0, "v_max: must be > 0")
+    bad(hyper.a_max <= 0, "a_max: must be > 0")
     bad(
         not (1 < hyper.degree <= 5),
-        f"hyperparams.degree: must be a natural number with 1 < degree <= 5, got {hyper.degree}",
+        f"degree: must be a natural number with 1 < degree <= 5, got {hyper.degree}",
     )
+    bad(hyper.n_nurbs < 2, "n_nurbs: must be >= 2")
+    bad(hyper.v_floor <= 0, "v_floor: must be > 0")
+    bad(hyper.v_floor >= hyper.v_max, "v_floor: must be < v_max")
+    bad(hyper.weight_min <= 0, "weight_min: must be > 0")
+    bad(hyper.weight_max <= hyper.weight_min, "weight_max: must be > weight_min")
+    # The seed's speed entries; their decision bounds are [v_floor, v_max].
     bad(
-        not (0 < hyper.r_sdf_min < hyper.r_sdf_max),
-        "hyperparams.r_sdf_min/r_sdf_max: need 0 < r_sdf_min < r_sdf_max",
+        hyper.v_cruise is not None and not hyper.v_floor <= hyper.v_cruise <= hyper.v_max,
+        f"v_cruise: must be in [v_floor, v_max], got {hyper.v_cruise}",
     )
-    bad(hyper.r_ch_max <= 0, "hyperparams.r_ch_max: must be > 0")
-    bad(hyper.delta_rope <= 0, "hyperparams.delta_rope: must be > 0")
-    bad(hyper.n_gen < 1, "hyperparams.n_gen: must be >= 1")
-    bad(
-        hyper.n_pop < 8 or hyper.n_pop % 4 != 0,
-        "hyperparams.n_pop: must be >= 8 and divisible by 4",
-    )
-    bad(hyper.n_nurbs < 2, "hyperparams.n_nurbs: must be >= 2")
-    bad(hyper.k_a < 0 or hyper.k_b < 0, "hyperparams.k_a/k_b: must be >= 0")
-    bad(abs(hyper.k_a + hyper.k_b - 1.0) > 1e-9, "hyperparams.k_a/k_b: must sum to 1")
-    bad(hyper.v_floor <= 0, "hyperparams.v_floor: must be > 0")
-    bad(hyper.r_uav < 0, "hyperparams.r_uav: must be >= 0")
-    bad(
-        not (0 < hyper.weight_min < hyper.weight_max),
-        "hyperparams.weight_min/weight_max: need 0 < min < max",
-    )
-    bad(hyper.v_floor >= hyper.v_max, "hyperparams.v_floor: must be < v_max")
-    bad(hyper.rrt_max_iters < 1, "hyperparams.rrt_max_iters: must be >= 1")
 
 
 def _type_problem(value, hint) -> Optional[str]:
@@ -151,18 +192,11 @@ def _section(value, path: str, errors: list, kind=dict):
     return value if isinstance(value, kind) else kind()
 
 
-def _parse_obstacle(entry: dict, path: str, errors: list):
+def _parse_entry(build, entry, path: str, errors: list):
+    """``build(entry, path, errors)``, or None with why the entry at
+    ``path`` (a domain, obstacle or hull) is unusable reported."""
     try:
-        kind = entry.get("type")
-        if kind == "box":
-            return BoxObstacle(min_corner=entry["min"], max_corner=entry["max"])
-        if kind == "sphere":
-            return SphereObstacle(center=entry["center"], radius=entry["radius"])
-        if kind == "capsule":
-            return CapsuleObstacle(
-                endpoint_a=entry["a"], endpoint_b=entry["b"], radius=entry["radius"]
-            )
-        errors.append(f"{path}.type: unknown obstacle type {kind!r} (box|sphere|capsule)")
+        return build(entry, path, errors)
     except KeyError as exc:
         errors.append(f"{path}: missing field {exc}")
     except ValidationError as exc:
@@ -172,19 +206,21 @@ def _parse_obstacle(entry: dict, path: str, errors: list):
     return None
 
 
-def _parse_hull(entry: dict, path: str, errors: list):
-    try:
-        rotation = entry.get("rotation", np.eye(3).tolist())
-        return OrientedHull(
-            center=entry["center"], half_extents=entry["half_extents"], rotation=rotation
-        )
-    except KeyError as exc:
-        errors.append(f"{path}: missing field {exc}")
-    except ValidationError as exc:
-        errors.extend(f"{path}: {v}" for v in exc.violations)
-    except (AttributeError, TypeError, ValueError) as exc:
-        errors.append(f"{path}: malformed entry ({exc})")
+def _obstacle(entry: dict, path: str, errors: list):
+    kind = entry.get("type")
+    if kind == "box":
+        return BoxObstacle(min_corner=entry["min"], max_corner=entry["max"])
+    if kind == "sphere":
+        return SphereObstacle(center=entry["center"], radius=entry["radius"])
+    if kind == "capsule":
+        return CapsuleObstacle(endpoint_a=entry["a"], endpoint_b=entry["b"], radius=entry["radius"])
+    errors.append(f"{path}.type: unknown obstacle type {kind!r} (box|sphere|capsule)")
     return None
+
+
+def _hull(entry: dict, path: str, errors: list):
+    rotation = entry.get("rotation", np.eye(3).tolist())
+    return OrientedHull(center=entry["center"], half_extents=entry["half_extents"], rotation=rotation)
 
 
 def scenario_from_dict(data: dict, base_dir: Path | None = None, name: str = "scenario") -> Scenario:
@@ -205,29 +241,26 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None, name: str = "sc
             hyper_data.pop(key)
     hyper = Hyperparams(**hyper_data)
     _check_hyper(hyper, errors)
+    try:  # the run builds the same settings; no rule reads the seed
+        run_settings(hyper, 0)
+    except ValidationError as exc:
+        errors.extend(exc.violations)
 
     env_data = _section(data.get("environment", {}), "environment", errors)
-    domain = None
-    try:
-        dom = _section(env_data.get("domain", {}), "environment.domain", errors)
-        domain = DomainBox(min_corner=dom["min"], max_corner=dom["max"], v_max=hyper.v_max)
-    except KeyError as exc:
-        errors.append(f"environment.domain: missing field {exc}")
-    except ValidationError as exc:
-        errors.extend(f"environment.domain: {v}" for v in exc.violations)
+    domain = _parse_entry(
+        lambda dom, *_: DomainBox(min_corner=dom["min"], max_corner=dom["max"], v_max=hyper.v_max),
+        _section(env_data.get("domain", {}), "environment.domain", errors),
+        "environment.domain", errors,
+    )
 
-    obstacles = []
-    entries = _section(env_data.get("obstacles", []), "environment.obstacles", errors, list)
-    for i, entry in enumerate(entries):
-        obs = _parse_obstacle(entry, f"environment.obstacles[{i}]", errors)
-        if obs is not None:
-            obstacles.append(obs)
-    hulls = []
-    entries = _section(env_data.get("hulls", []), "environment.hulls", errors, list)
-    for i, entry in enumerate(entries):
-        hull = _parse_hull(entry, f"environment.hulls[{i}]", errors)
-        if hull is not None:
-            hulls.append(hull)
+    world = {}
+    for key, build in (("obstacles", _obstacle), ("hulls", _hull)):
+        entries = _section(env_data.get(key, []), f"environment.{key}", errors, list)
+        parsed = [
+            _parse_entry(build, entry, f"environment.{key}[{i}]", errors)
+            for i, entry in enumerate(entries)
+        ]
+        world[key] = tuple(item for item in parsed if item is not None)
 
     resolution = float(_field(env_data, "resolution", "environment.", DEFAULT_RESOLUTION, errors))
     if resolution <= 0:
@@ -289,8 +322,8 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None, name: str = "sc
 
     return Scenario(
         domain=domain,
-        obstacles=tuple(obstacles),
-        hulls=tuple(hulls),
+        obstacles=world["obstacles"],
+        hulls=world["hulls"],
         start=start,
         goal=goal,
         v_start=v_start,

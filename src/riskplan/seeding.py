@@ -10,6 +10,7 @@ untouched at 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -25,20 +26,24 @@ MAX_HALVINGS = 3
 @dataclass(frozen=True)
 class SeedingParams:
     delta_rope: float
-    sigma_pos: float = 15.0
-    sigma_speed: float = 1.0
-    rrt_step: float = 2.0
-    rrt_max_iters: int = 5000
+    sigma_pos: float
+    sigma_speed: float
+    rrt_step: float
+    rrt_max_iters: int
     rng_seed: int = 0
 
     def __post_init__(self):
         problems = []
         if self.delta_rope <= 0:
-            problems.append("delta_rope must be > 0")
-        if self.sigma_pos < 0 or self.sigma_speed < 0:
-            problems.append("perturbation sigmas must be >= 0")
+            problems.append("delta_rope: must be > 0")
+        if self.sigma_pos < 0:
+            problems.append("sigma_pos: must be >= 0")
+        if self.sigma_speed < 0:
+            problems.append("sigma_speed: must be >= 0")
         if self.rrt_step <= 0:
-            problems.append("rrt_step must be > 0")
+            problems.append("rrt_step: must be > 0")
+        if self.rrt_max_iters < 1:
+            problems.append("rrt_max_iters: must be >= 1")
         if problems:
             raise ValidationError(problems)
 
@@ -217,22 +222,22 @@ def polyline_to_decision_vector(polyline: np.ndarray, v_cruise: float, degree: i
 
 def initial_population(
     seed_vec: np.ndarray,
-    pop_size: int,
+    n_pop: int,
     bounds: Bounds,
     params: SeedingParams,
 ) -> np.ndarray:
-    """Seed plus pop_size-1 Gaussian perturbations, clipped to bounds.
+    """Seed plus n_pop-1 Gaussian perturbations, clipped to bounds.
 
     Positions and speeds are perturbed; control-point weights are left
     alone. Deterministic for a given rng_seed.
     """
-    if pop_size < 2:
-        raise ValidationError("pop_size must be >= 2")
+    if n_pop < 2:
+        raise ValidationError("n_pop: must be >= 2")
     seed_vec = np.asarray(seed_vec, dtype=float)
     rng = np.random.default_rng(params.rng_seed)
-    pop = np.tile(seed_vec, (pop_size, 1))
+    pop = np.tile(seed_vec, (n_pop, 1))
     _, rows = _layout_views(pop[1:])
-    _, noise = _layout_views(rng.standard_normal((pop_size - 1, len(seed_vec))))
+    _, noise = _layout_views(rng.standard_normal((n_pop - 1, len(seed_vec))))
     rows[..., :3] += params.sigma_pos * noise[..., :3]
     rows[..., 3] += params.sigma_speed * noise[..., 3]
     return bounds.clip(pop)
@@ -257,7 +262,7 @@ def build_feasible_seed(
     a_max: float,
     r_uav: float,
     params: SeedingParams,
-    v_floor: float = costs_mod.DEFAULT_V_FLOOR,
+    v_floor: Optional[float] = None,
 ) -> SeedResult:
     """Seed path whose smoothed curve satisfies both hard constraints.
 

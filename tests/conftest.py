@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from riskplan.environment import (
     build_environment,
 )
 from riskplan.power import PowerSample, fit_quadric
-from riskplan.scenario import scenario_from_dict
+from riskplan.scenario import Hyperparams, run_settings, scenario_from_dict
 
 AXIS_DIRECTIONS = np.array(
     [
@@ -66,6 +68,21 @@ def corridor_scenario_dict(power_csv, rng_seed=7, n_gen=300, n_pop=40, risks=Non
         "power_calibration": str(power_csv),
         "rng_seed": rng_seed,
     }
+
+
+def safety_params(**hyper):
+    """Safety settings of ``Hyperparams(**hyper)``."""
+    return run_settings(Hyperparams(**hyper), 0)[0]
+
+
+def seeding_params(rng_seed=0, **hyper):
+    """Seeding settings of ``Hyperparams(**hyper)`` on RNG stream ``rng_seed``."""
+    return run_settings(Hyperparams(**hyper), rng_seed)[1]
+
+
+def moo_params(rng_seed=0, **hyper):
+    """NSGA-II settings of ``Hyperparams(**hyper)`` on RNG stream ``rng_seed``."""
+    return replace(run_settings(Hyperparams(**hyper), 0)[2], rng_seed=rng_seed)
 
 
 def make_corridor_scenario(tmp_path, **kwargs):

@@ -83,6 +83,18 @@ class TestPlanCommand:
         assert main(["plan", str(path), "--out", str(tmp_path / "out"), *args]) == 2
         assert "validation error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("v_cruise", [-1, 100], ids=["negative", "above-v_max"])
+    def test_v_cruise_outside_speed_bounds_exit_code(self, tmp_path, capsys, no_planning, v_cruise):
+        # The seed's cruise speed must lie within the speed entries' decision
+        # bounds [v_floor, v_max]; it is rejected at load, before planning.
+        csv = write_power_csv(tmp_path / "power.csv")
+        data = corridor_scenario_dict(csv, n_gen=20)
+        data["hyperparams"]["v_cruise"] = v_cruise
+        path = tmp_path / "cruise.json"
+        path.write_text(json.dumps(data))
+        assert main(["plan", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "hyperparams.v_cruise: must be in [v_floor, v_max]" in capsys.readouterr().err
+
 
 def member_entry(time_s) -> dict:
     """A pareto.json front member with the given ``time_s`` cost."""

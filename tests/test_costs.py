@@ -5,7 +5,6 @@ import pytest
 
 from conftest import asymmetric_model, symmetric_model
 from riskplan.costs import (
-    DEFAULT_V_FLOOR,
     ConstraintReport,
     _energy_batch,
     _hull_cost_batch,
@@ -24,6 +23,7 @@ from riskplan.environment import (
     build_environment,
 )
 from riskplan.nurbs import TrajectorySamples
+from riskplan.scenario import Hyperparams
 
 
 def make_samples(positions, speeds):
@@ -42,18 +42,19 @@ def straight_samples(length, n, speed, z=5.0):
     return make_samples(positions, np.full(n, speed))
 
 
-PARAMS = SafetyParams(r_sdf_min=1.0, r_sdf_max=5.0, r_ch_max=2.0)
+PARAMS = SafetyParams(r_sdf_min=1.0, r_sdf_max=5.0, r_ch_max=2.0, k_a=0.5, k_b=0.5, r_uav=0.5)
+V_FLOOR = Hyperparams().v_floor
 
 
 class TestTimeCost:
     def test_distance_over_speed(self):
         samples = straight_samples(4.0, 3, 2.0)
-        time = _time_batch(samples.segment_lengths[None], samples.speeds[None], DEFAULT_V_FLOOR)
+        time = _time_batch(samples.segment_lengths[None], samples.speeds[None], V_FLOOR)
         assert time[0] == pytest.approx(2.0)
 
     def test_zero_length_path(self):
         samples = make_samples(np.zeros((3, 3)), np.ones(3))
-        time = _time_batch(samples.segment_lengths[None], samples.speeds[None], DEFAULT_V_FLOOR)
+        time = _time_batch(samples.segment_lengths[None], samples.speeds[None], V_FLOOR)
         assert time[0] == 0.0
 
     def test_segment_end_speed_indexing(self):
@@ -61,7 +62,7 @@ class TestTimeCost:
         # the speed of its end sample -> 1/1 + 1/4.
         positions = [[0, 0, 0], [1, 0, 0], [2, 0, 0]]
         samples = make_samples(positions, [2.0, 1.0, 4.0])
-        time = _time_batch(samples.segment_lengths[None], samples.speeds[None], DEFAULT_V_FLOOR)
+        time = _time_batch(samples.segment_lengths[None], samples.speeds[None], V_FLOOR)
         assert time[0] == pytest.approx(1.25)
 
     def test_speed_floor_guards_zero(self):
@@ -331,7 +332,7 @@ class TestEnergyCost:
         # total time 10 s at 500 W
         energy, ok = _energy_batch(
             samples.positions[None], samples.segment_lengths[None], samples.speeds[None],
-            model, DEFAULT_V_FLOOR,
+            model, V_FLOOR,
         )
         assert ok.all()
         assert energy[0] == pytest.approx(5000.0, rel=1e-9)
@@ -342,7 +343,7 @@ class TestEnergyCost:
         positions = np.stack([samples.positions] * 2)
         speeds = np.stack([samples.speeds, samples.speeds * 2.0])
         (slow, fast), ok = _energy_batch(
-            positions, _segment_lengths(positions), speeds, model, DEFAULT_V_FLOOR
+            positions, _segment_lengths(positions), speeds, model, V_FLOOR
         )
         assert ok.all()
         assert fast == pytest.approx(slow / 2.0)
@@ -355,7 +356,7 @@ class TestEnergyCost:
         down = np.column_stack([np.zeros(n), np.zeros(n), zs[::-1]])
         positions = np.stack([up, down])
         (e_up, e_down), ok = _energy_batch(
-            positions, _segment_lengths(positions), np.ones((2, n)), model, DEFAULT_V_FLOOR
+            positions, _segment_lengths(positions), np.ones((2, n)), model, V_FLOOR
         )
         assert ok.all()
         assert e_up / e_down == pytest.approx(800.0 / 500.0, rel=1e-6)
@@ -368,7 +369,7 @@ class TestDoubleSpeedIdentities:
         speeds = rng.uniform(0.5, 1.0, 12)
         lengths = _segment_lengths(positions)
         time, doubled = _time_batch(
-            np.stack([lengths] * 2), np.stack([speeds, speeds * 2.0]), DEFAULT_V_FLOOR
+            np.stack([lengths] * 2), np.stack([speeds, speeds * 2.0]), V_FLOOR
         )
         assert doubled == time / 2.0
 
@@ -379,7 +380,7 @@ class TestDoubleSpeedIdentities:
         speeds = rng.uniform(0.5, 1.0, 12)
         both = np.stack([positions] * 2)
         (energy, doubled), ok = _energy_batch(
-            both, _segment_lengths(both), np.stack([speeds, speeds * 2.0]), model, DEFAULT_V_FLOOR
+            both, _segment_lengths(both), np.stack([speeds, speeds * 2.0]), model, V_FLOOR
         )
         assert ok.all()
         assert doubled == energy / 2.0
@@ -394,14 +395,14 @@ class TestAdditivity:
         # The two halves share sample 5 and form a batch of two.
         halves_pos = np.stack([positions[:6], positions[5:]])
         halves_speed = np.stack([speeds[:6], speeds[5:]])
-        halves_time = _time_batch(_segment_lengths(halves_pos), halves_speed, DEFAULT_V_FLOOR)
-        whole_time = _time_batch(_segment_lengths(positions)[None], speeds[None], DEFAULT_V_FLOOR)
+        halves_time = _time_batch(_segment_lengths(halves_pos), halves_speed, V_FLOOR)
+        whole_time = _time_batch(_segment_lengths(positions)[None], speeds[None], V_FLOOR)
         assert halves_time.sum() == pytest.approx(whole_time[0], rel=1e-12)
         halves_energy, halves_ok = _energy_batch(
-            halves_pos, _segment_lengths(halves_pos), halves_speed, model, DEFAULT_V_FLOOR
+            halves_pos, _segment_lengths(halves_pos), halves_speed, model, V_FLOOR
         )
         whole_energy, whole_ok = _energy_batch(
-            positions[None], _segment_lengths(positions)[None], speeds[None], model, DEFAULT_V_FLOOR
+            positions[None], _segment_lengths(positions)[None], speeds[None], model, V_FLOOR
         )
         assert halves_ok.all() and whole_ok.all()
         assert halves_energy.sum() == pytest.approx(whole_energy[0], rel=1e-12)

@@ -240,15 +240,23 @@ class TestOrientedHull:
         with pytest.raises(ValidationError):
             OrientedHull(center=[0, 0, 0], half_extents=[1, 1, 1], rotation=np.ones((3, 3)))
 
+    def test_rotation_tolerance_is_absolute(self):
+        # R^T R is 8e-6 off the identity: inside numpy's default relative
+        # tolerance of 1e-5, far outside the 1e-9 the check promises.
+        with pytest.raises(ValidationError, match="orthonormal within 1e-9"):
+            OrientedHull(
+                center=[0, 0, 0], half_extents=[1, 1, 1], rotation=np.diag([1 + 4e-6, 1, 1])
+            )
+
 
 class TestSafetyParams:
     def test_weight_sum_enforced(self):
-        with pytest.raises(ValidationError):
-            SafetyParams(r_sdf_min=1, r_sdf_max=5, r_ch_max=2, k_a=0.7, k_b=0.5)
+        with pytest.raises(ValidationError, match="k_b: must equal 1 - k_a"):
+            SafetyParams(r_sdf_min=1, r_sdf_max=5, r_ch_max=2, k_a=0.7, k_b=0.5, r_uav=0.5)
 
     def test_radius_order_enforced(self):
-        with pytest.raises(ValidationError):
-            SafetyParams(r_sdf_min=5, r_sdf_max=1, r_ch_max=2)
+        with pytest.raises(ValidationError, match="r_sdf_max: must be > r_sdf_min"):
+            SafetyParams(r_sdf_min=5, r_sdf_max=1, r_ch_max=2, k_a=0.5, k_b=0.5, r_uav=0.5)
 
 
 # --- per-axis kernels against their broadcasting reference forms ------------

@@ -1,13 +1,20 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import asymmetric_model, make_corridor_scenario
-from riskplan.environment import DomainBox, SafetyParams, build_environment
+from conftest import (
+    asymmetric_model,
+    make_corridor_scenario,
+    moo_params,
+    safety_params,
+    seeding_params,
+)
+from riskplan.environment import DomainBox, build_environment
 from riskplan.errors import DecodeError, ValidationError
 from riskplan.moo import (
-    MooParams,
     _crowding_from_arrays,
     _fronts_from_arrays,
     _layout_views,
@@ -24,7 +31,7 @@ from riskplan.moo import (
 )
 from riskplan.nurbs import sample_uniform
 from riskplan.pipeline import plan
-from riskplan.seeding import SeedingParams, initial_population
+from riskplan.seeding import initial_population
 
 
 def brute_force_fronts(objs, violations):
@@ -99,7 +106,7 @@ class TestDecisionVector:
 
     def test_bounds_layout(self):
         domain = DomainBox(min_corner=[0, 0, 0], max_corner=[10, 20, 30], v_max=2.0)
-        bounds = build_bounds(domain, n_interior=2, v_floor=0.1)
+        bounds = build_bounds(domain, n_interior=2, v_floor=0.1, weight_bounds=(0.1, 10.0))
         assert bounds.lower[0] == 0.1 and bounds.upper[0] == 10.0  # w0
         assert bounds.lower[1] == 0.0 and bounds.upper[1] == 10.0  # x1
         assert bounds.lower[3] == 0.0 and bounds.upper[3] == 30.0  # z1
@@ -285,7 +292,7 @@ def zdt1_front_distance(objs: np.ndarray) -> float:
 class TestEngine:
     def test_zdt1_convergence(self):
         d = 10
-        params = MooParams(n_gen=250, pop_size=40, rng_seed=12345)
+        params = moo_params(rng_seed=12345, n_gen=250, n_pop=40)
         rng = np.random.default_rng(99)
         initial = rng.random((40, d))
         pop, objs, viol = nsga2_minimize(
@@ -295,7 +302,7 @@ class TestEngine:
 
     def test_engine_deterministic(self):
         d = 10
-        params = MooParams(n_gen=50, pop_size=40, rng_seed=7)
+        params = moo_params(rng_seed=7, n_gen=50, n_pop=40)
         rng = np.random.default_rng(1)
         initial = rng.random((40, d))
         pop1, objs1, _ = nsga2_minimize(zdt1_batch, np.zeros(d), np.ones(d), params, initial)
@@ -304,10 +311,11 @@ class TestEngine:
         assert np.array_equal(objs1, objs2)
 
     def test_params_validation(self):
+        params = moo_params(n_gen=10, n_pop=40)
         with pytest.raises(ValidationError):
-            MooParams(n_gen=10, pop_size=10)  # not divisible by 4
+            replace(params, n_pop=10)  # not divisible by 4
         with pytest.raises(ValidationError):
-            MooParams(n_gen=10, pop_size=40, crossover_rate=1.5)
+            replace(params, crossover_rate=1.5)
 
 
 @pytest.fixture(scope="module")
@@ -366,13 +374,13 @@ class TestRunNsga2:
         model = fit_quadric(load_power_samples(csv))
         seed = build_feasible_seed(
             env, [2, 5, 5], [18, 5, 5], 1.0, 1.0, 1.0, 3, 50, 2.2, 0.5,
-            SeedingParams(delta_rope=5.0, rng_seed=0),
+            seeding_params(delta_rope=5.0, rng_seed=0),
         )
-        safety = SafetyParams(r_sdf_min=1, r_sdf_max=5, r_ch_max=2)
+        safety = safety_params(r_sdf_min=1, r_sdf_max=5, r_ch_max=2)
         ctx = make_context(
             env=env, power=model, safety=safety, start=[2, 5, 5], goal=[18, 5, 5],
             v_start=1.0, v_goal=1.0, degree=3, n_samples=50, a_max=2.2,
-            n_interior=(len(seed.decision) - 2) // 5,
+            n_interior=(len(seed.decision) - 2) // 5, v_floor=0.1, weight_bounds=(0.1, 10.0),
         )
         ind = evaluate(seed.decision, ctx)
         assert ind.constraints.feasible
@@ -391,10 +399,11 @@ class TestRunNsga2:
         model = fit_quadric(load_power_samples(csv))
         polyline = np.linspace([2, 5, 5], [18, 5, 5], 6)
         decision = polyline_to_decision_vector(polyline, 1.0, 3)
-        safety = SafetyParams(r_sdf_min=1, r_sdf_max=5, r_ch_max=2)
+        safety = safety_params(r_sdf_min=1, r_sdf_max=5, r_ch_max=2)
         ctx = make_context(
             env=env, power=model, safety=safety, start=[2, 5, 5], goal=[18, 5, 5],
             v_start=1.0, v_goal=1.0, degree=3, n_samples=50, a_max=2.2, n_interior=4,
+            v_floor=0.1, weight_bounds=(0.1, 10.0),
         )
         ind = evaluate(decision, ctx)
         assert not ind.constraints.feasible
@@ -435,7 +444,7 @@ class TestFinalScores:
 
         monkeypatch.setattr(moo_mod, "evaluate_batch", counted)
         front = run_nsga2(ctx, population, params)
-        assert calls == [params.pop_size] * (params.n_gen + 1)
+        assert calls == [params.n_pop] * (params.n_gen + 1)
         monkeypatch.undo()
         assert front
         for ind in front:

@@ -60,8 +60,10 @@ class TestPlanOutputs:
         decisions = np.array([ind.decision for ind in result.front])
         positions, speeds = _decode_batch(decisions, ctx)
         for i, ind in enumerate(result.front):
-            curve = decode(ind.decision, scn.start, scn.goal, scn.v_start, scn.v_goal, ctx.degree)
-            samples = sample_uniform(curve, ctx.n_samples)
+            curve = decode(
+                ind.decision, scn.start, scn.goal, scn.v_start, scn.v_goal, scn.hyper.degree
+            )
+            samples = sample_uniform(curve, scn.hyper.n_nurbs)
             assert np.array_equal(samples.positions, positions[i])
             assert np.array_equal(samples.speeds, speeds[i])
         selected = result.selected_index

@@ -1,13 +1,13 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
-import numpy as np
 import pytest
 
 from conftest import corridor_scenario_dict, write_power_csv
 from riskplan.errors import ValidationError
-from riskplan.scenario import load_scenario, scenario_from_dict
+from riskplan.scenario import Hyperparams, load_scenario, scenario_from_dict
 
 
 @pytest.fixture
@@ -149,3 +149,65 @@ def test_malformed_value_names_its_field(power_csv, tmp_path, keys, value, field
     section[keys[-1]] = value
     with pytest.raises(ValidationError, match=field):
         scenario_from_dict(data, base_dir=tmp_path)
+
+
+# One out-of-range value per hyperparameter, with every other value at its
+# default. Each must be rejected at load by a message naming its field.
+OUT_OF_RANGE = {
+    "v_max": 0.0,
+    "a_max": 0.0,
+    "degree": 1,
+    "r_sdf_min": 0.0,
+    "r_sdf_max": 0.5,  # below r_sdf_min
+    "r_ch_max": 0.0,
+    "delta_rope": 0.0,
+    "n_gen": 0,
+    "n_pop": 10,  # not divisible by 4
+    "n_nurbs": 1,
+    "k_a": -0.5,
+    "k_b": 0.7,  # k_a + k_b != 1
+    "v_floor": 0.0,
+    "r_uav": -1.0,
+    "weight_min": 0.0,
+    "weight_max": 0.05,  # below weight_min
+    "sigma_pos": -1.0,
+    "sigma_speed": -1.0,
+    "rrt_step": 0.0,
+    "rrt_max_iters": 0,
+    "crossover_rate": 2.0,
+    "eta_crossover": 0.0,
+    "mutation_rate": 1.5,
+    "eta_mutation": 0.0,
+    "v_cruise": 2.5,  # above v_max
+}
+
+
+@pytest.mark.parametrize("field, value", OUT_OF_RANGE.items(), ids=OUT_OF_RANGE.keys())
+def test_out_of_range_hyperparameter_rejected_at_load(power_csv, tmp_path, field, value):
+    data = minimal_dict(power_csv)
+    data["hyperparams"] = {field: value}
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(data, base_dir=tmp_path)
+    assert any(v.startswith(f"hyperparams.{field}: ") for v in err.value.violations), (
+        err.value.violations
+    )
+
+
+def test_every_hyperparameter_has_an_out_of_range_row():
+    assert sorted(OUT_OF_RANGE) == sorted(f.name for f in fields(Hyperparams))
+
+
+def test_bad_values_of_every_settings_type_reported_together(power_csv, tmp_path):
+    # One bad value each for the NSGA-II, seeding and safety settings.
+    data = minimal_dict(power_csv)
+    data["hyperparams"] = {
+        "crossover_rate": 2, "sigma_pos": -1, "eta_mutation": 0, "r_uav": -1,
+    }
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(data, base_dir=tmp_path)
+    assert sorted(err.value.violations) == [
+        "hyperparams.crossover_rate: must be in [0, 1]",
+        "hyperparams.eta_mutation: must be > 0",
+        "hyperparams.r_uav: must be >= 0",
+        "hyperparams.sigma_pos: must be >= 0",
+    ]

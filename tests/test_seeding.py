@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import seeding_params
 from riskplan.environment import (
     BoxObstacle,
     DomainBox,
@@ -11,7 +12,6 @@ from riskplan.environment import (
 from riskplan.errors import PlanningFailureError, ValidationError
 from riskplan.moo import _layout_views, build_bounds, decision_arity
 from riskplan.seeding import (
-    SeedingParams,
     build_feasible_seed,
     find_seed_path,
     initial_population,
@@ -30,7 +30,7 @@ def wall_with_gap_env():
 
 class TestFindSeedPath:
     def test_empty_world_straight_polyline(self, empty_env):
-        params = SeedingParams(delta_rope=5.0, rng_seed=0)
+        params = seeding_params(delta_rope=5.0, rng_seed=0)
         start, goal = np.array([1.0, 10, 5]), np.array([19.0, 10, 5])
         path = find_seed_path(empty_env, start, goal, params, r_uav=0.5)
         length = np.linalg.norm(goal - start)
@@ -44,7 +44,7 @@ class TestFindSeedPath:
 
     def test_wall_with_gap(self):
         env = wall_with_gap_env()
-        params = SeedingParams(delta_rope=2.0, rng_seed=3)
+        params = seeding_params(delta_rope=2.0, rng_seed=3)
         path = find_seed_path(env, [2, 5, 5], [18, 5, 5], params, r_uav=0.5)
         # verify clearance post-hoc at fine spacing along every segment
         for a, b in zip(path[:-1], path[1:]):
@@ -53,7 +53,7 @@ class TestFindSeedPath:
 
     def test_goal_in_collision(self):
         env = wall_with_gap_env()
-        params = SeedingParams(delta_rope=2.0, rng_seed=0)
+        params = seeding_params(delta_rope=2.0, rng_seed=0)
         with pytest.raises(ValidationError):
             find_seed_path(env, [2, 5, 5], [10, 2, 5], params, r_uav=0.5)
 
@@ -61,13 +61,13 @@ class TestFindSeedPath:
         domain = DomainBox(min_corner=[0, 0, 0], max_corner=[20, 10, 10], v_max=2.0)
         wall = BoxObstacle(min_corner=[9, 0, 0], max_corner=[11, 10, 10])  # full wall
         env = build_environment(domain, [wall], resolution=0.5)
-        params = SeedingParams(delta_rope=2.0, rrt_max_iters=300, rng_seed=0)
+        params = seeding_params(delta_rope=2.0, rrt_max_iters=300, rng_seed=0)
         with pytest.raises(PlanningFailureError):
             find_seed_path(env, [2, 5, 5], [18, 5, 5], params, r_uav=0.5)
 
     def test_deterministic(self):
         env = wall_with_gap_env()
-        params = SeedingParams(delta_rope=2.0, rng_seed=11)
+        params = seeding_params(delta_rope=2.0, rng_seed=11)
         p1 = find_seed_path(env, [2, 5, 5], [18, 5, 5], params, r_uav=0.5)
         p2 = find_seed_path(env, [2, 5, 5], [18, 5, 5], params, r_uav=0.5)
         assert np.array_equal(p1, p2)
@@ -122,26 +122,26 @@ class TestPolylineToDecision:
 class TestInitialPopulation:
     def _setup(self):
         domain = DomainBox(min_corner=[0, 0, 0], max_corner=[20, 10, 10], v_max=2.0)
-        bounds = build_bounds(domain, n_interior=4)
+        bounds = build_bounds(domain, n_interior=4, v_floor=0.1, weight_bounds=(0.1, 10.0))
         polyline = np.linspace([1, 5, 5], [19, 5, 5], 6)
         seed = polyline_to_decision_vector(polyline, v_cruise=1.0, degree=3)
         return bounds, seed
 
     def test_zero_sigma_copies_seed(self):
         bounds, seed = self._setup()
-        params = SeedingParams(delta_rope=5.0, sigma_pos=0.0, sigma_speed=0.0, rng_seed=0)
+        params = seeding_params(delta_rope=5.0, sigma_pos=0.0, sigma_speed=0.0, rng_seed=0)
         pop = initial_population(seed, 10, bounds, params)
         assert np.array_equal(pop, np.tile(seed, (10, 1)))
 
     def test_first_individual_is_seed(self):
         bounds, seed = self._setup()
-        params = SeedingParams(delta_rope=5.0, rng_seed=5)
+        params = seeding_params(delta_rope=5.0, rng_seed=5)
         pop = initial_population(seed, 40, bounds, params)
         assert np.array_equal(pop[0], seed)
 
     def test_weights_not_perturbed(self):
         bounds, seed = self._setup()
-        params = SeedingParams(delta_rope=5.0, rng_seed=5)
+        params = seeding_params(delta_rope=5.0, rng_seed=5)
         pop = initial_population(seed, 40, bounds, params)
         ends, rows = _layout_views(pop)
         assert np.all(ends == 1.0) and np.all(rows[..., 4] == 1.0)
@@ -150,7 +150,7 @@ class TestInitialPopulation:
         # Reference: entry j of the flat layout [w0, (x, y, z, speed, w) * k,
         # wn] gets sigma_pos (x, y, z), sigma_speed (speed) or no noise.
         bounds, seed = self._setup()
-        params = SeedingParams(delta_rope=5.0, sigma_pos=0.5, sigma_speed=0.2, rng_seed=11)
+        params = seeding_params(delta_rope=5.0, sigma_pos=0.5, sigma_speed=0.2, rng_seed=11)
         pop = initial_population(seed, 40, bounds, params)
         noise = np.random.default_rng(11).standard_normal((39, len(seed)))
         expected = np.tile(seed, (40, 1))
@@ -164,13 +164,13 @@ class TestInitialPopulation:
 
     def test_all_within_bounds_bulk(self):
         bounds, seed = self._setup()
-        params = SeedingParams(delta_rope=5.0, sigma_pos=30.0, sigma_speed=5.0, rng_seed=9)
+        params = seeding_params(delta_rope=5.0, sigma_pos=30.0, sigma_speed=5.0, rng_seed=9)
         pop = initial_population(seed, 10_000, bounds, params)
         assert np.all(pop >= bounds.lower) and np.all(pop <= bounds.upper)
 
     def test_reproducible_bit_exact(self):
         bounds, seed = self._setup()
-        params = SeedingParams(delta_rope=5.0, rng_seed=123)
+        params = seeding_params(delta_rope=5.0, rng_seed=123)
         p1 = initial_population(seed, 40, bounds, params)
         p2 = initial_population(seed, 40, bounds, params)
         assert np.array_equal(p1, p2)
@@ -181,7 +181,7 @@ class TestFeasibleSeedRepair:
         # A coarse rope spacing cuts the corner through the wall after
         # smoothing; the repair loop must halve it until feasible.
         env = wall_with_gap_env()
-        params = SeedingParams(delta_rope=8.0, rng_seed=2)
+        params = seeding_params(delta_rope=8.0, rng_seed=2)
         seed = build_feasible_seed(
             env, [2, 5, 5], [18, 5, 5], 1.0, 1.0, 1.0, 3, 50, 2.2, 0.5, params
         )
