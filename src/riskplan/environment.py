@@ -13,6 +13,15 @@ of squares are spelled ``x*x + y*y + z*z``, the summation order of
 results are bit-identical to the broadcasting forms. The hull rotation stays
 one matrix product on the flattened points, since a hand-written product
 rounds differently.
+
+``rasterize`` tests each primitive only on the voxel centres inside its
+axis-aligned bounding box grown by one voxel on every side; every centre
+outside that window lies outside the primitive, and the one-voxel margin
+covers any rounding in the bounds. The window's centres are slices of the
+same per-axis coordinates the whole grid would use, and ``contains`` judges
+each point on its own, so the occupancy grid, and with it the distance
+field, has the same bytes as a test of every centre against every
+primitive.
 """
 
 from __future__ import annotations
@@ -81,6 +90,10 @@ class BoxObstacle:
         if not np.all(self.min_corner < self.max_corner):
             raise ValidationError("box obstacle min must be < max componentwise")
 
+    def bounds(self) -> tuple:
+        """Lower and upper corner of the axis-aligned box holding the primitive."""
+        return self.min_corner, self.max_corner
+
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         return np.all((pts >= self.min_corner) & (pts <= self.max_corner), axis=-1)
@@ -93,8 +106,12 @@ class SphereObstacle:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _vec3(self.center, "sphere.center"))
-        if self.radius < 0:
-            raise ValidationError("sphere radius must be >= 0")
+        if not 0 <= self.radius < np.inf:
+            raise ValidationError(f"sphere radius must be finite and >= 0, got {self.radius!r}")
+
+    def bounds(self) -> tuple:
+        """Lower and upper corner of the axis-aligned box holding the primitive."""
+        return self.center - self.radius, self.center + self.radius
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -112,8 +129,14 @@ class CapsuleObstacle:
     def __post_init__(self):
         object.__setattr__(self, "endpoint_a", _vec3(self.endpoint_a, "capsule.a"))
         object.__setattr__(self, "endpoint_b", _vec3(self.endpoint_b, "capsule.b"))
-        if self.radius < 0:
-            raise ValidationError("capsule radius must be >= 0")
+        if not 0 <= self.radius < np.inf:
+            raise ValidationError(f"capsule radius must be finite and >= 0, got {self.radius!r}")
+
+    def bounds(self) -> tuple:
+        """Lower and upper corner of the axis-aligned box holding the primitive."""
+        lo = np.minimum(self.endpoint_a, self.endpoint_b)
+        hi = np.maximum(self.endpoint_a, self.endpoint_b)
+        return lo - self.radius, hi + self.radius
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -283,13 +306,6 @@ class SignedDistanceField:
         return out
 
 
-def voxel_centers(origin: np.ndarray, resolution: float, dims) -> np.ndarray:
-    """World coordinates of all voxel centers, shape (nx, ny, nz, 3)."""
-    axes = [origin[k] + (np.arange(dims[k]) + 0.5) * resolution for k in range(3)]
-    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-    return np.stack([gx, gy, gz], axis=-1)
-
-
 def rasterize(obstacles, domain: DomainBox, resolution: float, max_voxels: int) -> tuple:
     """Occupancy grid over the domain: a voxel is occupied iff its center
     lies inside any primitive."""
@@ -303,11 +319,22 @@ def rasterize(obstacles, domain: DomainBox, resolution: float, max_voxels: int) 
             f"grid of {dims} = {n_voxels} voxels exceeds the budget of {max_voxels}; "
             "raise max_voxels or coarsen the resolution"
         )
-    centers = voxel_centers(domain.min_corner, resolution, dims)
+    axes = [domain.min_corner[k] + (np.arange(n) + 0.5) * resolution for k, n in enumerate(dims)]
     occupied = np.zeros(dims, dtype=bool)
-    flat = centers.reshape(-1, 3)
     for obs in obstacles:
-        occupied |= obs.contains(flat).reshape(dims)
+        lo, hi = obs.bounds()
+        window = tuple(
+            slice(
+                np.searchsorted(axis, lo[k] - resolution, side="left"),
+                np.searchsorted(axis, hi[k] + resolution, side="right"),
+            )
+            for k, axis in enumerate(axes)
+        )
+        if any(w.start >= w.stop for w in window):
+            continue
+        gx, gy, gz = np.meshgrid(*(axis[w] for axis, w in zip(axes, window)), indexing="ij")
+        inside = obs.contains(np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=-1))
+        occupied[window] |= inside.reshape(gx.shape)
     return occupied, dims
 
 

@@ -16,6 +16,11 @@ Where the rules live:
   ``hyperparams.<field>: ...``. ``_check_hyper`` checks the settings no such
   type reads: speed and acceleration limits, curve degree, sample count
   and the decision bounds.
+- ``v_max``: a bad value is reported once, under its own name. The rules
+  that compare a value with it are then skipped, and what is derived from
+  it at load (the domain's speed bound, the ``sigma_speed`` and mission
+  speed defaults) is derived from the default ``v_max``; the scenario is
+  rejected either way.
 - World entries: the ``environment`` types check themselves; their
   problems are reported under the entry's path.
 - Mission and file-level values are checked here.
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, get_args, get_type_hints
 
@@ -147,7 +152,8 @@ def _check_hyper(hyper: Hyperparams, errors: list):
         if cond:
             errors.append(f"hyperparams.{msg}")
 
-    bad(hyper.v_max <= 0, "v_max: must be > 0")
+    v_max_ok = hyper.v_max > 0
+    bad(not v_max_ok, "v_max: must be > 0")
     bad(hyper.a_max <= 0, "a_max: must be > 0")
     bad(
         not (1 < hyper.degree <= 5),
@@ -155,12 +161,13 @@ def _check_hyper(hyper: Hyperparams, errors: list):
     )
     bad(hyper.n_nurbs < 2, "n_nurbs: must be >= 2")
     bad(hyper.v_floor <= 0, "v_floor: must be > 0")
-    bad(hyper.v_floor >= hyper.v_max, "v_floor: must be < v_max")
+    bad(v_max_ok and hyper.v_floor >= hyper.v_max, "v_floor: must be < v_max")
     bad(hyper.weight_min <= 0, "weight_min: must be > 0")
     bad(hyper.weight_max <= hyper.weight_min, "weight_max: must be > weight_min")
     # The seed's speed entries; their decision bounds are [v_floor, v_max].
     bad(
-        hyper.v_cruise is not None and not hyper.v_floor <= hyper.v_cruise <= hyper.v_max,
+        v_max_ok and hyper.v_cruise is not None
+        and not hyper.v_floor <= hyper.v_cruise <= hyper.v_max,
         f"v_cruise: must be in [v_floor, v_max], got {hyper.v_cruise}",
     )
 
@@ -241,14 +248,18 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None, name: str = "sc
             hyper_data.pop(key)
     hyper = Hyperparams(**hyper_data)
     _check_hyper(hyper, errors)
+    v_max_ok = hyper.v_max > 0
+    derived = hyper if v_max_ok else replace(hyper, v_max=Hyperparams.v_max)
     try:  # the run builds the same settings; no rule reads the seed
-        run_settings(hyper, 0)
+        run_settings(derived, 0)
     except ValidationError as exc:
         errors.extend(exc.violations)
 
     env_data = _section(data.get("environment", {}), "environment", errors)
     domain = _parse_entry(
-        lambda dom, *_: DomainBox(min_corner=dom["min"], max_corner=dom["max"], v_max=hyper.v_max),
+        lambda dom, *_: DomainBox(
+            min_corner=dom["min"], max_corner=dom["max"], v_max=derived.v_max
+        ),
         _section(env_data.get("domain", {}), "environment.domain", errors),
         "environment.domain", errors,
     )
@@ -283,11 +294,12 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None, name: str = "sc
     if len(ends) == 2 and np.allclose(start, goal):
         errors.append("mission.start/goal: must differ")
 
-    v_start = float(_field(mission, "v_start", "mission.", hyper.v_max / 2.0, errors))
-    v_goal = float(_field(mission, "v_goal", "mission.", hyper.v_max / 2.0, errors))
-    if not 0 <= v_start <= hyper.v_max:
+    v_start = float(_field(mission, "v_start", "mission.", derived.v_max / 2.0, errors))
+    v_goal = float(_field(mission, "v_goal", "mission.", derived.v_max / 2.0, errors))
+    v_upper = hyper.v_max if v_max_ok else math.inf
+    if not 0 <= v_start <= v_upper:
         errors.append(f"mission.v_start: must be in [0, v_max], got {v_start}")
-    if not 0 <= v_goal <= hyper.v_max:
+    if not 0 <= v_goal <= v_upper:
         errors.append(f"mission.v_goal: must be in [0, v_max], got {v_goal}")
 
     risk_data = _section(mission.get("risks", data.get("risks", {})), "mission.risks", errors)

@@ -95,6 +95,20 @@ class TestPlanCommand:
         assert main(["plan", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "hyperparams.v_cruise: must be in [v_floor, v_max]" in capsys.readouterr().err
 
+    def test_nan_radius_exit_code(self, tmp_path, capsys, no_planning):
+        # A NaN radius would rasterise to nothing; it is rejected at load.
+        csv = write_power_csv(tmp_path / "power.csv")
+        data = corridor_scenario_dict(csv, n_gen=20)
+        data["environment"]["obstacles"].append(
+            {"type": "sphere", "center": [5.0, 5.0, 5.0], "radius": float("nan")}
+        )
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(data))
+        assert main(["plan", str(path), "--out", str(tmp_path / "out")]) == 2
+        index = len(data["environment"]["obstacles"]) - 1
+        err = capsys.readouterr().err
+        assert f"environment.obstacles[{index}]: sphere radius must be finite" in err
+
 
 def member_entry(time_s) -> dict:
     """A pareto.json front member with the given ``time_s`` cost."""

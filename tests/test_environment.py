@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import importlib
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +19,12 @@ from riskplan.environment import (
     SignedDistanceField,
     SphereObstacle,
     build_sdf,
+    rasterize,
 )
 from riskplan.errors import CapacityError, OutOfDomainError, ValidationError
+from riskplan.scenario import scenario_from_dict
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def brute_force_distances(occupied: np.ndarray, resolution: float) -> np.ndarray:
@@ -66,6 +73,18 @@ class TestDomainAndPrimitives:
         assert sph.contains(np.array([1.0, 1.25, 1.0]))
         assert not sph.contains(np.array([1.0, 1.75, 1.0]))
 
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf, -1.0])
+    def test_radius_must_be_finite_and_non_negative(self, radius):
+        with pytest.raises(ValidationError, match="sphere radius must be finite and >= 0"):
+            SphereObstacle(center=[1, 1, 1], radius=radius)
+        with pytest.raises(ValidationError, match="capsule radius must be finite and >= 0"):
+            CapsuleObstacle(endpoint_a=[0, 0, 0], endpoint_b=[1, 0, 0], radius=radius)
+
+    def test_zero_radius_accepted(self):
+        assert SphereObstacle(center=[1, 1, 1], radius=0.0).contains(np.ones(3))
+        cap = CapsuleObstacle(endpoint_a=[0, 0, 0], endpoint_b=[1, 0, 0], radius=0.0)
+        assert cap.contains(np.array([0.5, 0.0, 0.0]))
+
 
 class TestBuildSdf:
     def test_unit_box_distance(self):
@@ -112,8 +131,6 @@ class TestBuildSdf:
             for _ in range(n_spheres)
         ]
         sdf = build_sdf(obstacles, domain, resolution=resolution)
-        from riskplan.environment import rasterize
-
         occupied, dims = rasterize(obstacles, domain, resolution, 10**7)
         oracle = brute_force_distances(occupied, resolution)
         centers = np.argwhere(np.ones(dims, dtype=bool))
@@ -124,6 +141,129 @@ class TestBuildSdf:
         want_sq = np.round((oracle.reshape(-1) / resolution) ** 2).astype(int)
         assert np.array_equal(got_sq, want_sq)
         assert np.allclose(got, oracle.reshape(-1), atol=1e-9)
+
+
+def reference_rasterize(obstacles, domain: DomainBox, resolution: float) -> np.ndarray:
+    """Every voxel centre tested against every primitive: the occupancy the
+    bounding-box windows of ``rasterize`` must reproduce byte for byte."""
+    dims = tuple(max(int(np.ceil(e / resolution)), 1) for e in domain.extent)
+    axes = [domain.min_corner[k] + (np.arange(dims[k]) + 0.5) * resolution for k in range(3)]
+    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
+    centers = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
+    occupied = np.zeros(dims, dtype=bool)
+    for obs in obstacles:
+        occupied |= obs.contains(centers).reshape(dims)
+    return occupied
+
+
+def random_world(rng: np.random.Generator) -> tuple:
+    """A small domain near the origin, often one voxel thick on an axis, and
+    primitives of every type that straddle it, lie outside it, are
+    degenerate, or put a box face or a sphere or capsule surface exactly on
+    voxel centres."""
+    resolution = rng.uniform(0.2, 0.6)
+    extent = rng.uniform(0.5, 4.0, 3)
+    if rng.random() < 0.3:
+        extent[rng.integers(3)] = rng.uniform(0.2, 1.0) * resolution
+    origin = rng.uniform(-3.0, 3.0, 3)
+    domain = DomainBox(min_corner=origin, max_corner=origin + extent, v_max=1.0)
+    dims = [max(int(np.ceil(e / resolution)), 1) for e in domain.extent]
+    axes = [origin[k] + (np.arange(dims[k]) + 0.5) * resolution for k in range(3)]
+
+    def centre():
+        return np.array([axis[rng.integers(len(axis))] for axis in axes])
+
+    def point():  # anywhere within 2 m of the domain
+        return rng.uniform(origin - 2.0, origin + extent + 2.0)
+
+    def on_centre_surface():
+        # A centre ``v`` and a point ``c`` that differs from it on axis
+        # ``k`` only, so that |v - c| is exactly |v[k] - c[k]|.
+        v, k = centre(), rng.integers(3)
+        c = v.copy()
+        c[k] += rng.uniform(-2.0, 2.0)
+        return c, abs(v[k] - c[k]), k
+
+    def centre_box():
+        lo, hi = np.empty(3), np.empty(3)
+        for k, axis in enumerate(axes):
+            i = rng.integers(len(axis))
+            j = i + rng.integers(1, 4)
+            lo[k] = axis[i]
+            hi[k] = axis[j] if j < len(axis) else axis[i] + rng.uniform(0.1, 2.0)
+        return BoxObstacle(min_corner=lo, max_corner=hi)
+
+    def surface_sphere():
+        c, r, _ = on_centre_surface()
+        return SphereObstacle(center=c, radius=r)
+
+    def surface_capsule():
+        # A segment parallel to an axis other than the offset's ``k``,
+        # spanning the centre's coordinate on it.
+        a, r, k = on_centre_surface()
+        m = (k + rng.integers(1, 3)) % 3
+        a[m] -= rng.uniform(0.0, 2.0)
+        b = a.copy()
+        b[m] += rng.uniform(2.0, 4.0)
+        return CapsuleObstacle(endpoint_a=a, endpoint_b=b, radius=r)
+
+    def centre_segment():
+        a = centre()
+        b = a.copy()
+        m = rng.integers(3)
+        b[m] = axes[m][rng.integers(len(axes[m]))]
+        return CapsuleObstacle(endpoint_a=a, endpoint_b=b, radius=0.0)
+
+    makers = [
+        lambda: BoxObstacle(min_corner=(lo := point()), max_corner=lo + rng.uniform(0.05, 3.0, 3)),
+        centre_box,
+        lambda: SphereObstacle(center=point(), radius=rng.uniform(0.0, 2.0)),
+        lambda: SphereObstacle(center=centre(), radius=0.0),
+        surface_sphere,
+        lambda: CapsuleObstacle(
+            endpoint_a=(a := point()), endpoint_b=a + rng.uniform(-3.0, 3.0, 3),
+            radius=rng.uniform(0.0, 1.0),
+        ),
+        lambda: CapsuleObstacle(endpoint_a=(a := point()), endpoint_b=a, radius=rng.uniform(0, 1)),
+        surface_capsule,
+        centre_segment,
+    ]
+    obstacles = [makers[i]() for i in rng.integers(len(makers), size=12)]
+    return domain, resolution, obstacles
+
+
+class TestWindowedRasterize:
+    """``rasterize`` tests each primitive only inside its grown bounding box;
+    the occupancy must equal the every-centre reference exactly."""
+
+    def test_random_worlds_match_reference(self):
+        rng = np.random.default_rng(20)
+        thin = outside = 0
+        for _ in range(150):
+            domain, resolution, obstacles = random_world(rng)
+            occupied, dims = rasterize(obstacles, domain, resolution, 10**6)
+            assert np.array_equal(occupied, reference_rasterize(obstacles, domain, resolution))
+            thin += min(dims) == 1
+            for obs in obstacles:
+                lo, hi = obs.bounds()
+                outside += bool(np.any((hi < domain.min_corner) | (lo > domain.max_corner)))
+        # The worlds cover one-voxel axes and primitives wholly outside.
+        assert thin >= 10 and outside >= 10
+
+    @pytest.mark.parametrize("world", [7, 8, 9])
+    def test_city_worlds_match_reference(self, world):
+        perfbench = str(ROOT / "perfbench")
+        sys.path.insert(0, perfbench)
+        try:
+            city = importlib.import_module("city")
+        finally:
+            sys.path.remove(perfbench)
+        data, _ = city.city_scenario(world)
+        scn = scenario_from_dict(data, base_dir=ROOT / "scenarios")
+        occupied, _ = rasterize(scn.obstacles, scn.domain, scn.resolution, scn.max_voxels)
+        want = reference_rasterize(scn.obstacles, scn.domain, scn.resolution)
+        assert want.any()
+        assert np.array_equal(occupied, want)
 
 
 class TestQueryDistance:

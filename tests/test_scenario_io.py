@@ -87,6 +87,27 @@ class TestLoadScenario:
         scn = scenario_from_dict(data, base_dir=tmp_path)
         assert len(scn.obstacles) == 3
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            '{"type": "sphere", "center": [5, 5, 5], "radius": NaN}',
+            '{"type": "sphere", "center": [5, 5, 5], "radius": Infinity}',
+            '{"type": "capsule", "a": [1, 1, 8], "b": [9, 9, 8], "radius": NaN}',
+        ],
+        ids=["sphere-nan", "sphere-inf", "capsule-nan"],
+    )
+    def test_non_finite_radius_rejected(self, power_csv, tmp_path, entry):
+        # Python's json reads NaN and Infinity; neither is a radius.
+        data = minimal_dict(power_csv)
+        data["environment"]["obstacles"] = [{"type": "box", "min": [1, 1, 1], "max": [2, 2, 2]}]
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(data).replace("}]", "}, " + entry + "]"))
+        with pytest.raises(ValidationError) as err:
+            load_scenario(path)
+        [message] = err.value.violations
+        assert message.startswith("environment.obstacles[1]: ")
+        assert "radius must be finite and >= 0" in message
+
     def test_unknown_obstacle_type(self, power_csv, tmp_path):
         data = minimal_dict(power_csv)
         data["environment"]["obstacles"] = [{"type": "torus"}]
@@ -210,4 +231,30 @@ def test_bad_values_of_every_settings_type_reported_together(power_csv, tmp_path
         "hyperparams.eta_mutation: must be > 0",
         "hyperparams.r_uav: must be >= 0",
         "hyperparams.sigma_pos: must be >= 0",
+    ]
+
+
+@pytest.mark.parametrize("v_max", [0.0, -1.0])
+def test_bad_v_max_reported_once(power_csv, tmp_path, v_max):
+    # The domain's speed bound, v_floor < v_max and the v_max / 2 defaults
+    # of sigma_speed and the mission speeds all derive from v_max; none of
+    # them adds a message of its own.
+    data = minimal_dict(power_csv)
+    data["hyperparams"] = {"v_max": v_max}
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(data, base_dir=tmp_path)
+    assert err.value.violations == ["hyperparams.v_max: must be > 0"]
+
+
+def test_bad_v_max_keeps_rules_of_given_values(power_csv, tmp_path):
+    data = minimal_dict(power_csv)
+    data["hyperparams"] = {"v_max": -1.0, "v_floor": -1.0, "sigma_speed": -2.0}
+    data["mission"]["v_start"] = -1.0
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(data, base_dir=tmp_path)
+    assert sorted(err.value.violations) == [
+        "hyperparams.sigma_speed: must be >= 0",
+        "hyperparams.v_floor: must be > 0",
+        "hyperparams.v_max: must be > 0",
+        "mission.v_start: must be in [0, v_max], got -1.0",
     ]

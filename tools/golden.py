@@ -1,4 +1,4 @@
-"""Print the sha256 of the byte-stable result files for a fixed set of runs.
+"""Print the sha256 of the distance fields and result files of a fixed set of runs.
 
 A refactor that must keep every result byte the same is checked by running
 this script on two checkouts and diffing the output:
@@ -7,12 +7,17 @@ this script on two checkouts and diffing the output:
     python3 tools/golden.py > after.txt
     diff before.txt after.txt
 
-The optional argument is the checkout whose ``src/``, ``scenarios/`` and
-``perfbench/city.py`` are used (default: the one holding this script), so
-the script also runs against a commit that predates it. BLAS and OpenMP are
+The optional argument is the checkout whose ``src/``, ``scenarios/``,
+``perfbench/city.py`` and ``perfbench/seed_failure_city.json`` are used
+(default: the one holding this script), so the script also runs against a
+commit that predates it; it reads only public names. BLAS and OpenMP are
 pinned to one thread before numpy loads.
 
 The set:
+- the distance field ``env.sdf.distance`` (its bytes, with its dims) of the
+  corridor, the ``perfbench/city.py`` worlds 7, 8 and 9 and the world in
+  ``perfbench/seed_failure_city.json``, so a field change shows at its
+  source and not only through the plans;
 - ``scenarios/corridor.json`` at rng seeds 7 and 8 (its 1000 generations):
   ``pareto.json``, ``trajectory.csv``, ``generations.csv``;
 - the ``perfbench/city.py`` worlds 7, 8 and 9: the same three files. On
@@ -62,6 +67,7 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 
     import city
+    from riskplan.environment import build_environment
     from riskplan.pipeline import plan, sweep
     from riskplan.scenario import load_scenario, scenario_from_dict
 
@@ -70,13 +76,30 @@ def main(argv=None) -> int:
     data = json.loads((scenarios / "corridor.json").read_text())
     data["hyperparams"]["n_gen"] = SWEEP_N_GEN
     short = scenario_from_dict(data, base_dir=scenarios, name="corridor-sweep")
+    cities = {
+        f"city-{world}": scenario_from_dict(
+            city.city_scenario(world)[0], base_dir=scenarios, name="city"
+        )
+        for world in CITY_WORLDS
+    }
+    failure = json.loads((root / "perfbench" / "seed_failure_city.json").read_text())
+
+    fields = {
+        "corridor": corridor, **cities,
+        "seed-failure-city": scenario_from_dict(failure, base_dir=scenarios),
+    }
+    for label, scn in fields.items():
+        distance = build_environment(
+            scn.domain, scn.obstacles, scn.hulls, scn.resolution, scn.max_voxels
+        ).sdf.distance
+        dims = "x".join(str(n) for n in distance.shape)
+        digest = hashlib.sha256(distance.tobytes()).hexdigest()
+        print(f"{digest}  field/{label} dims={dims}", flush=True)
 
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         runs = {f"corridor-{seed}": replace(corridor, rng_seed=seed) for seed in SEEDS}
-        for world in CITY_WORLDS:
-            city_data, _ = city.city_scenario(world)
-            runs[f"city-{world}"] = scenario_from_dict(city_data, base_dir=scenarios, name="city")
+        runs.update(cities)
         for label, scn in runs.items():
             plan(scn, out_dir=out / label)
             for name in PLAN_FILES:
