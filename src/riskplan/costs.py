@@ -2,25 +2,30 @@
 constraints (tangential acceleration, collision clearance).
 
 Each formula has one batch kernel over arrays with a leading population
-axis: positions (N, Q, 3), speeds (N, Q) and segment lengths (N, Q-1).
-``moo.evaluate_batch`` scores whole generations with them, and a single
-trajectory is a batch of one. ``check_constraints`` runs the two constraint
-kernels on one ``TrajectorySamples`` (seed check, emission re-check); it
+axis. Positions come as per-axis planes (3, N, Q), the layout
+``nurbs.rational_blend`` writes, and speeds as (N, Q). The segment steps
+(3, N, Q-1) are taken once (``_segment_steps``) and serve both the segment
+lengths (N, Q-1) and the unit directions. ``moo.evaluate_batch`` scores
+whole generations with the kernels. A single trajectory passes views of its
+rows: ``check_constraints`` runs the two constraint kernels on one
+``TrajectorySamples`` as a batch of one (seed check, emission re-check); it
 takes no speed floor, as the acceleration term reads the raw speeds.
 ``pipeline`` builds the emitted timeline and power profile from
-``_segment_times`` and ``_segment_powers``, the time and energy kernels' helpers.
+``_segment_times`` and ``_segment_powers``, the time and energy kernels'
+helpers, which take any leading shape.
 
-Kernels over sample points follow the per-axis rule of ``environment``: they
-read (..., 3) positions as three columns and write sums of squares as
-``x*x + y*y + z*z``, bit-identical to ``np.linalg.norm`` over the last axis
-but without its 3-element inner loop per point.
+Sums of squares over the three axes are written ``x*x + y*y + z*z`` on the
+planes, bit-identical to ``np.linalg.norm`` over a trailing axis of 3 but
+without its 3-element inner loop per point.
 
 The hull cost skips exact zeros: a hull adds +0 at every point at least
 ``r_ch_max`` outside it, and most (trajectory, hull) pairs of a cluttered
 world are that far apart (about 95% on the ``perfbench`` city worlds 7 and
 8). ``_hull_cost_batch`` evaluates a hull only on the trajectories that
-can come that close, by a box test with a slack larger than any rounding,
-so its sums have the bits of the full per-hull sum.
+can come that close, by a test against the hull's cull box with a slack
+larger than any rounding, so its sums have the bits of the full per-hull
+sum. The boxes depend only on the hulls and ``r_ch_max``, so
+``hull_cull_boxes`` builds them once per plan (``moo.make_context``).
 """
 
 from __future__ import annotations
@@ -57,10 +62,15 @@ class ConstraintReport:
         return self.max_accel_violation == 0.0 and self.collision_violation == 0.0
 
 
-def _segment_lengths(positions: np.ndarray) -> np.ndarray:
-    """Euclidean length of each segment between consecutive samples
-    (positions (..., Q, 3) to lengths (..., Q-1))."""
-    dx, dy, dz = (positions[..., 1:, k] - positions[..., :-1, k] for k in range(3))
+def _segment_steps(positions: np.ndarray) -> np.ndarray:
+    """Step between consecutive samples, per axis (planes (3, ..., Q) to
+    (3, ..., Q-1))."""
+    return positions[..., 1:] - positions[..., :-1]
+
+
+def _segment_lengths(steps: np.ndarray) -> np.ndarray:
+    """Euclidean length of each segment from its step planes (3, ..., Q-1)."""
+    dx, dy, dz = steps
     return np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
@@ -70,18 +80,17 @@ def _segment_times(segment_lengths: np.ndarray, speeds: np.ndarray, v_floor: flo
     return segment_lengths / np.maximum(speeds[..., 1:], v_floor)
 
 
-def _segment_directions(positions: np.ndarray, segment_lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit tangents per segment (zero vector on degenerate segments)."""
+def _segment_directions(steps: np.ndarray, segment_lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit tangents per segment as rows (..., Q-1, 3), zero on degenerate
+    segments, and the non-degenerate mask (..., Q-1)."""
     nonzero = segment_lengths > 1e-12
     dirs = np.zeros(segment_lengths.shape + (3,))
-    for k in range(3):
-        col = positions[..., k]
-        np.divide(col[..., 1:] - col[..., :-1], segment_lengths, out=dirs[..., k], where=nonzero)
+    np.divide(steps, segment_lengths, out=np.moveaxis(dirs, -1, 0), where=nonzero)
     return dirs, nonzero
 
 
 def _segment_powers(
-    positions: np.ndarray, segment_lengths: np.ndarray, model: PowerQuadricModel
+    steps: np.ndarray, segment_lengths: np.ndarray, model: PowerQuadricModel
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Steady-state power along each segment direction, as (powers, valid,
     nonzero) shaped like ``segment_lengths``.
@@ -90,7 +99,7 @@ def _segment_powers(
     solution, which includes the zero direction of every degenerate
     (``nonzero`` False) segment.
     """
-    dirs, nonzero = _segment_directions(positions, segment_lengths)
+    dirs, nonzero = _segment_directions(steps, segment_lengths)
     powers, valid = power_for_directions(model, dirs.reshape(-1, 3))
     return powers.reshape(segment_lengths.shape), valid.reshape(segment_lengths.shape), nonzero
 
@@ -114,42 +123,53 @@ def sdf_point_cost(d_obs: np.ndarray, params: SafetyParams) -> np.ndarray:
     return np.where(d_obs <= r_min, 1.0, np.where(d_obs >= r_max, 0.0, middle))
 
 
-def _hull_cost_batch(positions: np.ndarray, hulls, r_ch_max: float) -> np.ndarray:
-    """Summed keep-out cost over all hulls at positions (N, Q, 3), as (N, Q):
-    1 per hull the point is inside, falling off linearly to 0 at r_ch_max
-    outside.
+def hull_cull_boxes(hulls, r_ch_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis lower and upper planes (3, H) of the hulls' cull boxes:
+    centre -+ |R| half_extents, grown by r_ch_max plus a slack of
+    ``_CULL_SLACK`` times (|centre|_inf + sum(half_extents) + r_ch_max).
 
-    Culling: a hull is evaluated only on the trajectories whose per-axis
-    bounding box overlaps its world box, centre +- |R| half_extents, grown by
-    r_ch_max plus a slack of ``_CULL_SLACK`` times (|centre|_inf +
-    sum(half_extents) + r_ch_max). The slack is far larger than the rounding
-    of the box test and of ``signed_distance`` (a few 1e-16 of that scale)
-    and than the shift of the zero-cost surface that a rotation accepted by
-    ``OrientedHull`` can cause (its check keeps every entry of R^T R within
-    1e-9 of the identity, which moves the surface by about 1e-9 of the
-    scale). So every point of a skipped trajectory has signed distance
-    >= r_ch_max, where the cost is exactly +0, and the sums keep their bits.
-    The test is written so that a NaN compares as near, and a trajectory
-    with any non-finite coordinate is never skipped: its distance can be
-    NaN (inf * 0 in the rotation), which a skip would turn into 0.
+    The slack is far larger than the rounding of the box test and of
+    ``signed_distance`` (a few 1e-16 of that scale) and than the shift of
+    the zero-cost surface that a rotation accepted by ``OrientedHull`` can
+    cause (its check keeps every entry of R^T R within 1e-9 of the
+    identity, which moves the surface by about 1e-9 of the scale). So every
+    point outside a box has signed distance >= r_ch_max from its hull.
     """
-    total = np.zeros(positions.shape[:-1])
-    axes = np.ascontiguousarray(positions.transpose(0, 2, 1))  # (N, 3, Q)
-    lo, hi = axes.min(axis=2), axes.max(axis=2)  # (N, 3) bounding boxes
     centers = np.array([hull.center for hull in hulls]).reshape(-1, 3)  # (H, 3)
     half = np.array([hull.half_extents for hull in hulls]).reshape(-1, 3)
     rotations = np.array([hull.rotation for hull in hulls]).reshape(-1, 3, 3)
     slack = _CULL_SLACK * (np.abs(centers).max(axis=1) + half.sum(axis=1) + r_ch_max)
     reach = np.einsum("hij,hj->hi", np.abs(rotations), half) + (r_ch_max + slack)[:, None]
-    apart = (lo[:, None] > centers + reach) | (hi[:, None] < centers - reach)  # (N, H, 3)
-    near = ~apart.any(axis=2) | ~np.isfinite(hi - lo).all(axis=1)[:, None]  # NaN is near
+    return (centers - reach).T.copy(), (centers + reach).T.copy()
+
+
+def _hull_cost_batch(positions: np.ndarray, hulls, boxes: tuple, r_ch_max: float) -> np.ndarray:
+    """Summed keep-out cost over all hulls at position planes (3, N, Q), as
+    (N, Q): 1 per hull the point is inside, falling off linearly to 0 at
+    r_ch_max outside.
+
+    Culling: a hull is evaluated only on the trajectories whose per-axis
+    bounding box overlaps its box in ``boxes``, the ``hull_cull_boxes`` of
+    ``hulls`` at ``r_ch_max``. Every point of a skipped trajectory has
+    signed distance >= r_ch_max, where the cost is exactly +0, so the sums
+    keep their bits. The test is written so that a NaN compares as near,
+    and a trajectory with any non-finite coordinate is never skipped: its
+    distance can be NaN (inf * 0 in the rotation), which a skip would turn
+    into 0.
+    """
+    total = np.zeros(positions.shape[1:])
+    low, high = boxes
+    lo, hi = positions.min(axis=2), positions.max(axis=2)  # (3, N) bounding boxes
+    apart = (lo[:, :, None] > high[:, None]) | (hi[:, :, None] < low[:, None])  # (3, N, H)
+    near = ~apart.any(axis=0) | ~np.isfinite(hi - lo).all(axis=0)[:, None]  # NaN is near
     for hull, hull_near in zip(hulls, near.T):
         rows = np.flatnonzero(hull_near)
         if rows.size == len(total):
             rows = slice(None)  # every trajectory: views, no gather
         elif not rows.size:
             continue
-        d = hull.signed_distance(positions[rows])
+        planes = positions[:, rows]
+        d = hull.signed_distance(planes.reshape(3, -1).T).reshape(planes.shape[1:])
         total[rows] += np.minimum(np.maximum(1.0 - d / r_ch_max, 0.0), 1.0)
     return total
 
@@ -162,7 +182,7 @@ def _safety_batch(sdf_costs: np.ndarray, hull_costs: np.ndarray, k_a: float, k_b
 
 
 def _energy_batch(
-    positions: np.ndarray,
+    steps: np.ndarray,
     segment_lengths: np.ndarray,
     speeds: np.ndarray,
     model: PowerQuadricModel,
@@ -173,13 +193,16 @@ def _energy_batch(
 
     A trajectory is invalid when the power surface has no solution for
     some nondegenerate segment direction; zero-length segments contribute
-    no energy.
+    no energy. A NaN term (a NaN speed) adds 0. An infinite term needs an
+    infinite segment, whose trajectory lies outside the distance field and
+    is scored with the sentinel costs.
     """
-    powers, valid, nonzero = _segment_powers(positions, segment_lengths, model)
+    powers, valid, nonzero = _segment_powers(steps, segment_lengths, model)
     dt = _segment_times(segment_lengths, speeds, v_floor)
-    contrib = np.where(nonzero, powers * dt, 0.0)
+    contrib = powers * dt
+    contrib[~nonzero | np.isnan(contrib)] = 0.0
     ok = np.all(valid | ~nonzero, axis=1)
-    energy = np.where(ok, np.nan_to_num(contrib, nan=0.0).sum(axis=1), np.nan)
+    energy = np.where(ok, contrib.sum(axis=1), np.nan)
     return energy, ok
 
 
@@ -191,7 +214,8 @@ def _accel_violation_batch(
     Per segment the speed change over its length gives a = (v1^2 - v0^2) / 2d.
     """
     d = np.maximum(segment_lengths, _MIN_SEGMENT)
-    accel = (speeds[:, 1:] ** 2 - speeds[:, :-1] ** 2) / (2.0 * d)
+    squared = speeds * speeds
+    accel = (squared[:, 1:] - squared[:, :-1]) / (2.0 * d)
     return np.maximum(np.abs(accel).max(axis=1) - a_max, 0.0)
 
 

@@ -5,14 +5,18 @@ Everything here is immutable after construction and all queries are pure, so
 the same environment can be shared by parallel cost evaluations.
 
 The point queries (``SignedDistanceField.query``, ``OrientedHull.signed_distance``)
-work on per-axis columns ``pts[:, k]`` of their (M, 3) input and never
-broadcast against, or reduce over, its trailing axis of 3: numpy runs such an
-operation as one 3-element inner loop per point, several times slower. Sums
-of squares are spelled ``x*x + y*y + z*z``, the summation order of
-``np.linalg.norm``, and clamps are ``np.minimum(np.maximum(...))``, so the
-results are bit-identical to the broadcasting forms. The hull rotation stays
-one matrix product on the flattened points, since a hand-written product
-rounds differently.
+take (M, 3) points and never broadcast against, or reduce over, the trailing
+axis of 3: numpy runs such an operation as one 3-element inner loop per
+point, several times slower. ``query`` works on the per-axis planes
+``points.T`` (3, M) in one broadcast pass per step, against (3, 1) per-axis
+constants; the optimizer passes its samples as the transpose of contiguous
+planes, so those planes are read without a copy. ``signed_distance`` reads
+per-axis columns. Sums of squares are spelled ``x*x + y*y + z*z``, the
+summation order of ``np.linalg.norm``, and clamps are
+``np.minimum(np.maximum(...))``, so the results are bit-identical to the
+broadcasting forms. The hull rotation stays one matrix product on C-ordered
+(M, 3) points, since a hand-written product, or the product of another
+layout, can round differently.
 
 ``rasterize`` tests each primitive only on the voxel centres inside its
 axis-aligned bounding box grown by one voxel on every side; every centre
@@ -38,7 +42,15 @@ DEFAULT_RESOLUTION = 0.5
 DEFAULT_MAX_VOXELS = 20_000_000
 
 
+def _holds_bool(value) -> bool:
+    """Whether ``value`` is or holds a boolean, which numpy would read as 1
+    or 0; a JSON true or false is not a number."""
+    return any(isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat)
+
+
 def _vec3(value, name: str) -> np.ndarray:
+    if _holds_bool(value):
+        raise ValidationError(f"{name} must be a 3-vector of numbers, got {value!r}")
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
@@ -106,7 +118,7 @@ class SphereObstacle:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _vec3(self.center, "sphere.center"))
-        if not 0 <= self.radius < np.inf:
+        if _holds_bool(self.radius) or not 0 <= self.radius < np.inf:
             raise ValidationError(f"sphere radius must be finite and >= 0, got {self.radius!r}")
 
     def bounds(self) -> tuple:
@@ -129,7 +141,7 @@ class CapsuleObstacle:
     def __post_init__(self):
         object.__setattr__(self, "endpoint_a", _vec3(self.endpoint_a, "capsule.a"))
         object.__setattr__(self, "endpoint_b", _vec3(self.endpoint_b, "capsule.b"))
-        if not 0 <= self.radius < np.inf:
+        if _holds_bool(self.radius) or not 0 <= self.radius < np.inf:
             raise ValidationError(f"capsule radius must be finite and >= 0, got {self.radius!r}")
 
     def bounds(self) -> tuple:
@@ -168,6 +180,8 @@ class OrientedHull:
     def __post_init__(self):
         object.__setattr__(self, "center", _vec3(self.center, "hull.center"))
         object.__setattr__(self, "half_extents", _vec3(self.half_extents, "hull.half_extents"))
+        if _holds_bool(self.rotation):
+            raise ValidationError(f"hull rotation must be a 3x3 matrix of numbers, got {self.rotation!r}")
         rot = np.asarray(self.rotation, dtype=float)
         if rot.shape != (3, 3):
             raise ValidationError("hull rotation must be a 3x3 matrix")
@@ -185,7 +199,7 @@ class OrientedHull:
         """
         pts = np.asarray(points, dtype=float)
         flat = pts.reshape(-1, 3)
-        shifted = np.empty_like(flat)
+        shifted = np.empty(flat.shape)  # C order, whatever the layout of ``points``
         for k, c in enumerate(self.center.tolist()):
             np.subtract(flat[:, k], c, out=shifted[:, k])
         local = shifted @ self.rotation
@@ -248,16 +262,14 @@ class SignedDistanceField:
         ``out_of_range`` is either "raise" (OutOfDomainError) or "nan".
         """
         pts = np.asarray(points, dtype=float)
+        axes = np.ascontiguousarray(pts.T)  # (3, M); no copy when ``points`` is a plane view
         res = self.resolution
         nx, ny, nz = self.dims
-        lows = self.origin.tolist()
+        low = self.origin[:, None]
+        n = np.array(self.dims)[:, None]
 
         # An in-range test, so that a NaN coordinate fails it.
-        good = None
-        for k, (n, lo) in enumerate(zip(self.dims, lows)):
-            x = pts[:, k]
-            inside = (x >= lo - res) & (x <= lo + n * res + res)
-            good = inside if good is None else good & inside
+        good = ((axes >= low - res) & (axes <= low + n * res + res)).all(axis=0)
         bad = None if good.all() else ~good
         if bad is not None:
             if out_of_range == "raise":
@@ -266,14 +278,12 @@ class SignedDistanceField:
                     "distance field by more than one voxel"
                 )
             # Read the bad rows at the origin; they are set to NaN below.
-            pts = np.where(good[:, None], pts, self.origin)
+            axes = np.where(good, axes, low)
 
-        corner, fracs = [], []
-        for k, (n, lo) in enumerate(zip(self.dims, lows)):
-            g = np.minimum(np.maximum((pts[:, k] - lo) / res - 0.5, 0.0), n - 1.0)
-            i0 = np.minimum(np.floor(g).astype(np.intp), max(n - 2, 0))
-            corner.append(i0)
-            fracs.append(np.minimum(np.maximum(g - i0, 0.0), 1.0))
+        g = np.minimum(np.maximum((axes - low) / res - 0.5, 0.0), n - 1.0)
+        corner = np.minimum(np.floor(g).astype(np.intp), np.maximum(n - 2, 0))
+        fx, fy, fz = fracs = np.minimum(np.maximum(g - corner, 0.0), 1.0)
+        gx, gy, gz = 1 - fracs
 
         # Flat indices into the C-ordered grid: the lower corner, plus one
         # step per axis to the upper corner (no step on a one-voxel axis).
@@ -283,7 +293,6 @@ class SignedDistanceField:
         sy = nz if ny > 1 else 0
         sz = 1 if nz > 1 else 0
         d = self.distance
-        fx, fy, fz = fracs
         c000 = d.take(base)
         c100 = d.take(base + sx)
         c010 = d.take(base + sy)
@@ -293,13 +302,13 @@ class SignedDistanceField:
         c011 = d.take(base + (sy + sz))
         c111 = d.take(base + (sx + sy + sz))
 
-        c00 = c000 * (1 - fx) + c100 * fx
-        c10 = c010 * (1 - fx) + c110 * fx
-        c01 = c001 * (1 - fx) + c101 * fx
-        c11 = c011 * (1 - fx) + c111 * fx
-        c0 = c00 * (1 - fy) + c10 * fy
-        c1 = c01 * (1 - fy) + c11 * fy
-        out = c0 * (1 - fz) + c1 * fz
+        c00 = c000 * gx + c100 * fx
+        c10 = c010 * gx + c110 * fx
+        c01 = c001 * gx + c101 * fx
+        c11 = c011 * gx + c111 * fx
+        c0 = c00 * gy + c10 * fy
+        c1 = c01 * gy + c11 * fy
+        out = c0 * gz + c1 * fz
 
         if bad is not None:
             out = np.where(bad, np.nan, out)

@@ -4,16 +4,20 @@ The design vector fixes start and goal (positions and speeds) and exposes
 [w_0, then per interior control point: x, y, z, speed, w, then w_n].
 ``_layout_views`` is the only code that knows this layout: ``build_bounds``
 writes the box bounds through its views, ``seeding`` the seed vector and the
-population noise, and ``_control_net`` reads them into control nets for both
-``decode`` and the batch path. A population is sampled by
-``nurbs.rational_blend`` at the context's precomputed basis rows, the same
-evaluator ``nurbs.sample_uniform`` uses, so a decoded member samples to
-exactly the points that were scored. Both the decode and the hull cost in
-``evaluate_batch`` skip exact zeros: the blend sums only each row's band of
-non-zero basis values, and ``costs._hull_cost_batch`` evaluates a hull only
-on the trajectories that come within ``r_ch_max`` (plus a rounding slack) of
-its box. Each skipped term is a zero basis value times the net or a +0 hull
-cost, so the scores keep the bits of the dense computation.
+population noise, and ``_control_net`` reads them into control net planes
+(4, N, C) of x, y, z and speed for both ``decode`` and the batch path. A
+population is sampled by ``nurbs.rational_blend`` into (4, N, Q) planes, the
+same evaluator ``nurbs.sample_uniform`` uses, so a decoded member samples to
+exactly the points that were scored; every ``costs`` kernel reads the planes.
+
+``make_context`` builds once per plan what a plan never changes: the basis
+rows of the sample parameters, their band of non-zero values
+(``nurbs.basis_band``) and the hulls' cull boxes (``costs.hull_cull_boxes``).
+Both the decode and the hull cost skip exact zeros: the blend sums only each
+row's band, and ``costs._hull_cost_batch`` evaluates a hull only on the
+trajectories that come within ``r_ch_max`` (plus a rounding slack) of it.
+Each skipped term is a zero basis value times the net or a +0 hull cost, so
+the scores keep the bits of the dense computation.
 
 Constraint handling is the feasibility-first dominance rule: feasible beats
 infeasible, infeasible compare on total violation. Ranking is by front, then
@@ -35,7 +39,13 @@ from . import costs as costs_mod
 from .costs import ConstraintReport, CostVector
 from .environment import Environment, SafetyParams
 from .errors import DecodeError, ValidationError
-from .nurbs import NurbsCurve4D, basis_matrix, make_clamped_uniform_knots, rational_blend
+from .nurbs import (
+    NurbsCurve4D,
+    basis_band,
+    basis_matrix,
+    make_clamped_uniform_knots,
+    rational_blend,
+)
 from .power import PowerQuadricModel
 
 log = logging.getLogger(__name__)
@@ -109,30 +119,33 @@ def decode(
 ) -> NurbsCurve4D:
     """Decision vector to curve: fixed endpoints plus interior entries."""
     decision = np.asarray(decision, dtype=float)
-    ctrl, weights = _control_net(decision[None, :], start, goal, v_start, v_goal)
-    n_ctrl = ctrl.shape[1]
+    net, weights = _control_net(decision[None, :], start, goal, v_start, v_goal)
+    n_ctrl = net.shape[2]
     if n_ctrl < degree + 1:
         raise DecodeError(
             f"{n_ctrl} control points cannot support degree {degree} (need >= {degree + 1})"
         )
     knots = make_clamped_uniform_knots(n_ctrl, degree)
-    return NurbsCurve4D(control_points=ctrl[0], weights=weights[0], degree=degree, knots=knots)
+    return NurbsCurve4D(
+        control_points=net[:, 0].T.copy(), weights=weights[0], degree=degree, knots=knots
+    )
 
 
 def _control_net(
     decisions: np.ndarray, start, goal, v_start: float, v_goal: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Control points (N, k+2, 4) and weights (N, k+2) of decisions
-    (N, 5k+2): the fixed endpoints plus the interior entries."""
+    """Control net planes (4, N, k+2) of x, y, z and speed, and weights
+    (N, k+2), of decisions (N, 5k+2): the fixed endpoints plus the interior
+    entries."""
     ends, rows = _layout_views(decisions)
-    ctrl = np.empty((len(decisions), rows.shape[1] + 2, 4))
-    ctrl[:, 0, :3] = start
-    ctrl[:, 0, 3] = v_start
-    ctrl[:, -1, :3] = goal
-    ctrl[:, -1, 3] = v_goal
-    ctrl[:, 1:-1] = rows[:, :, :4]
+    net = np.empty((4, len(decisions), rows.shape[1] + 2))
+    net[:3, :, 0] = np.reshape(start, (3, 1))
+    net[3, :, 0] = v_start
+    net[:3, :, -1] = np.reshape(goal, (3, 1))
+    net[3, :, -1] = v_goal
+    net[:, :, 1:-1] = rows[:, :, :4].transpose(2, 0, 1)
     weights = np.concatenate([ends[:, :1], rows[:, :, 4], ends[:, 1:]], axis=1)
-    return ctrl, weights
+    return net, weights
 
 
 @dataclass(frozen=True)
@@ -188,7 +201,8 @@ class MooParams:
 
 @dataclass(frozen=True)
 class EvaluationContext:
-    """Everything needed to score a decision vector, frozen for a run."""
+    """Everything needed to score a decision vector, frozen for a run;
+    ``basis``, ``band`` and ``hull_boxes`` are built once, by ``make_context``."""
 
     env: Environment
     power: PowerQuadricModel
@@ -201,6 +215,8 @@ class EvaluationContext:
     v_floor: float
     bounds: Bounds
     basis: np.ndarray = field(repr=False)
+    band: tuple = field(repr=False)
+    hull_boxes: tuple = field(repr=False)
 
 
 def make_context(
@@ -235,14 +251,15 @@ def make_context(
         v_floor=v_floor,
         bounds=bounds,
         basis=basis,
+        band=basis_band(basis),
+        hull_boxes=costs_mod.hull_cull_boxes(env.hulls, safety.r_ch_max),
     )
 
 
-def _decode_batch(decisions: np.ndarray, ctx: EvaluationContext) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled positions (N, Q, 3) and speeds (N, Q) for a population."""
-    ctrl, weights = _control_net(decisions, ctx.start, ctx.goal, ctx.v_start, ctx.v_goal)
-    points = rational_blend(ctx.basis, weights, ctrl)
-    return points[:, :, :3], points[:, :, 3]
+def _decode_batch(decisions: np.ndarray, ctx: EvaluationContext) -> np.ndarray:
+    """Sample planes (4, N, Q) of x, y, z and speed for a population."""
+    net, weights = _control_net(decisions, ctx.start, ctx.goal, ctx.v_start, ctx.v_goal)
+    return rational_blend(ctx.basis, ctx.band, weights, net)
 
 
 def evaluate_batch(decisions: np.ndarray, ctx: EvaluationContext) -> tuple[np.ndarray, np.ndarray]:
@@ -251,30 +268,42 @@ def evaluate_batch(decisions: np.ndarray, ctx: EvaluationContext) -> tuple[np.nd
     Evaluation never raises for individual candidates: world-model or
     power-model failures mark the candidate infeasible with sentinel
     costs and an added collision violation.
+
+    NaN clearance (a point outside the field) reads as 0 through an
+    ``isnan`` mask, which is all ``np.nan_to_num`` would do: the field is
+    finite and the trilinear weights lie in [0, 1], so clearance is finite
+    or NaN. An energy is NaN only on a row the power surface fails, and
+    infinite only on a row with an infinite segment, which lies outside the
+    field; both rows get the sentinel costs, so the energy is used as is.
     """
     decisions = np.atleast_2d(np.asarray(decisions, dtype=float))
-    positions, speeds = _decode_batch(decisions, ctx)
-    segment_lengths = costs_mod._segment_lengths(positions)
+    planes = _decode_batch(decisions, ctx)
+    pos, speeds = planes[:3], planes[3]
+    steps = costs_mod._segment_steps(pos)
+    segment_lengths = costs_mod._segment_lengths(steps)
 
     time = costs_mod._time_batch(segment_lengths, speeds, ctx.v_floor)
 
-    d_obs = ctx.env.clearance(positions.reshape(-1, 3), out_of_range="nan").reshape(speeds.shape)
-    in_domain = np.all(np.isfinite(d_obs), axis=1)
-    d_safe = np.nan_to_num(d_obs, nan=0.0)
+    d_obs = ctx.env.clearance(pos.reshape(3, -1).T, out_of_range="nan").reshape(speeds.shape)
+    outside = np.isnan(d_obs)
+    in_domain = ~outside.any(axis=1)
+    d_obs[outside] = 0.0
 
-    sdf_costs = costs_mod.sdf_point_cost(d_safe, ctx.safety)
-    hull_costs = costs_mod._hull_cost_batch(positions, ctx.env.hulls, ctx.safety.r_ch_max)
+    sdf_costs = costs_mod.sdf_point_cost(d_obs, ctx.safety)
+    hull_costs = costs_mod._hull_cost_batch(
+        pos, ctx.env.hulls, ctx.hull_boxes, ctx.safety.r_ch_max
+    )
     safety = costs_mod._safety_batch(sdf_costs, hull_costs, ctx.safety.k_a, ctx.safety.k_b)
 
     energy, power_ok = costs_mod._energy_batch(
-        positions, segment_lengths, speeds, ctx.power, ctx.v_floor
+        steps, segment_lengths, speeds, ctx.power, ctx.v_floor
     )
 
     accel_viol = costs_mod._accel_violation_batch(segment_lengths, speeds, ctx.a_max)
-    coll_viol = costs_mod._collision_violation_batch(d_safe, ctx.safety.r_uav)
+    coll_viol = costs_mod._collision_violation_batch(d_obs, ctx.safety.r_uav)
 
     bad = ~(in_domain & power_ok)
-    cost_arr = np.column_stack([time, safety, np.nan_to_num(energy, nan=0.0)])
+    cost_arr = np.column_stack([time, safety, energy])
     cost_arr[bad] = ERROR_COST_SENTINEL
     coll_viol = coll_viol + np.where(bad, ERROR_VIOLATION_SENTINEL, 0.0)
     return cost_arr, np.column_stack([accel_viol, coll_viol])
@@ -295,12 +324,12 @@ def _dominance_matrix(objs: np.ndarray, violations: np.ndarray) -> np.ndarray:
     feas = violations <= 0.0
     col = objs[:, 0]
     leq = col[:, None] <= col[None, :]
-    lt = col[:, None] < col[None, :]
     for k in range(1, objs.shape[1]):
         col = objs[:, k]
         leq &= col[:, None] <= col[None, :]
-        lt |= col[:, None] < col[None, :]
-    pareto = leq & lt
+    # i <= j everywhere and not j <= i everywhere: i < j somewhere. Where
+    # leq[i, j] holds, no entry of i or j is NaN, so this is exact.
+    pareto = leq & ~leq.T
     fi = feas[:, None]
     fj = feas[None, :]
     less_violation = violations[:, None] < violations[None, :]
@@ -405,20 +434,27 @@ def _mutation_batch(
     eta: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Bounded polynomial mutation, applied per variable with probability rate."""
+    """Bounded polynomial mutation, applied per variable with probability rate.
+
+    Both (N, D) draws are taken in full, so the RNG stream does not depend
+    on which entries mutate; the arithmetic runs only on those entries.
+    """
     n, d = pop.shape
     apply = rng.random((n, d)) < rate
-    u = rng.random((n, d))
-    span = upper - lower
-    delta1 = (pop - lower) / span
-    delta2 = (upper - pop) / span
+    u = rng.random((n, d))[apply]
+    _, col = np.nonzero(apply)
+    lo, hi, x = lower[col], upper[col], pop[apply]
+    span = hi - lo
+    delta1 = (x - lo) / span
+    delta2 = (hi - x) / span
     exp = eta + 1.0
     low_side = u < 0.5
     val_low = 2.0 * u + (1.0 - 2.0 * u) * (1.0 - delta1) ** exp
     val_high = 2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - delta2) ** exp
     deltaq = np.where(low_side, val_low ** (1.0 / exp) - 1.0, 1.0 - val_high ** (1.0 / exp))
-    mutated = np.clip(pop + deltaq * span, lower, upper)
-    return np.where(apply, mutated, pop)
+    out = pop.copy()
+    out[apply] = np.clip(x + deltaq * span, lo, hi)
+    return out
 
 
 # --- generational engine ----------------------------------------------------

@@ -1,18 +1,26 @@
 """Rational B-spline curves over (x, y, z, speed-norm).
 
 Basis evaluation follows the classic knot-span recurrence (The NURBS Book,
-algorithms A2.1 and A2.2). Curves have one evaluator: a dense basis matrix
-for the sample parameters times the weighted control net
-(``rational_blend``). ``sample_uniform`` and the optimizer's batch decode
-both call it, so an emitted sample set is bit-identical to the one the
-optimizer scored. Curves are immutable values and evaluation is pure, so
-sampling can run concurrently.
+algorithms A2.1 and A2.2). Curves have one evaluator: the basis rows of the
+sample parameters times the weighted control net (``rational_blend``).
+``sample_uniform`` and the optimizer's batch decode both call it, so an
+emitted sample set is bit-identical to the one the optimizer scored. Curves
+are immutable values and evaluation is pure, so sampling can run
+concurrently.
+
+The evaluator works in per-coordinate planes: the control net comes in as
+(4, N, C) planes of x, y, z and speed, and the samples go out as (4, N, Q)
+planes, so every step reads and writes contiguous rows. A single curve is a
+one-member plane view.
 
 By local support (The NURBS Book, section 2.2) a basis row has at most
-degree+1 non-zero values, in adjacent columns. ``rational_blend`` sums the
-numerator over that band only, in increasing column order from zero, which
-is the order of a dense sequential sum; every skipped term is an exact zero,
-so the sums keep the bits of the dense sum.
+degree+1 non-zero values, in adjacent columns: the row's band, which
+``basis_band`` finds. The basis and its band are fixed by the knots and the
+sample parameters, so the optimizer builds both once per plan
+(``moo.make_context``). ``rational_blend`` sums the numerator over the band
+only, in increasing column order from zero, which is the order of a dense
+sequential sum; every skipped term is an exact zero, so the sums keep the
+bits of the dense sum.
 """
 
 from __future__ import annotations
@@ -140,40 +148,52 @@ class NurbsCurve4D:
         return float(self.knots[self.degree]), float(self.knots[-self.degree - 1])
 
 
-def rational_blend(basis: np.ndarray, weights: np.ndarray, control_points: np.ndarray) -> np.ndarray:
-    """Points (N, Q, D) of N curves sharing one knot vector.
+def basis_band(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The band of a basis matrix (Q, C): columns and values (width, Q).
 
-    ``basis`` (Q, C) holds the basis rows of the Q parameters, ``weights``
-    (N, C) and ``control_points`` (N, C, D) the control nets. Each point is
+    ``width`` adjacent columns hold every non-zero of each row; the widest
+    row sets ``width``, which for a B-spline basis is at most degree+1.
+    Column ``cols[k, q]`` holds value ``values[k, q]`` of row q, in
+    increasing column order. A band is fixed by the knots and the sample
+    parameters, so a plan builds it once, with its basis.
+    """
+    n_cols = basis.shape[1]
+    nonzero = basis != 0
+    first = nonzero.argmax(axis=1)
+    width = n_cols - int((nonzero[:, ::-1].argmax(axis=1) + first).min())
+    cols = np.minimum(first, n_cols - width) + np.arange(width)[:, None]
+    return cols, basis.take(cols + np.arange(0, basis.size, n_cols))
+
+
+def rational_blend(
+    basis: np.ndarray, band: tuple, weights: np.ndarray, net: np.ndarray
+) -> np.ndarray:
+    """Planes (D, N, Q) of the points of N curves sharing one knot vector.
+
+    ``basis`` (Q, C) holds the basis rows of the Q parameters and ``band``
+    their ``basis_band``; ``weights`` (N, C) and ``net`` (D, N, C) hold the
+    control nets, one plane per coordinate. Each point is
     sum_i N_i w_i P_i / sum_i N_i w_i. The first and last rows must be the
     ends of the parameter range: clamped ends interpolate the end control
     points, which are copied exactly.
 
-    The numerator of row q runs over the ``width`` adjacent columns that
-    hold every non-zero of the row (the widest row sets ``width``; for a
-    B-spline basis it is at most degree+1), starting from zero and adding
-    (N_i w_i) P_i in increasing i. A dense sum in that order adds only exact
-    zeros besides, so the result has its bits. It is laid out (D, N, Q), so
-    every step works on contiguous rows. The denominator stays a dense
-    ``einsum``: its summation order is not sequential, and it carries a
-    non-finite weight into every row.
+    The numerator of row q starts from zero and adds (N_i w_i) P_i over the
+    band's columns in increasing i. A dense sum in that order adds only
+    exact zeros besides, so the result has its bits. Every step works on
+    contiguous planes. The denominator stays a dense ``einsum``: its
+    summation order is not sequential, and it carries a non-finite weight
+    into every row.
     """
+    cols, values = band
     den = np.einsum("qc,nc->nq", basis, weights)
-    n_rows, n_cols = basis.shape
-    nonzero = basis != 0
-    first = nonzero.argmax(axis=1)
-    width = n_cols - int((nonzero[:, ::-1].argmax(axis=1) + first).min())
-    cols = np.minimum(first, n_cols - width) + np.arange(width)[:, None]  # (width, Q)
-    weighted = basis.take(cols + np.arange(0, basis.size, n_cols)) * weights[:, cols]
-    net = np.ascontiguousarray(control_points.transpose(2, 0, 1))  # (D, N, C)
-    num = np.zeros((net.shape[0], len(weights), n_rows))
-    for k in range(width):
+    weighted = values * weights[:, cols]  # (N, width, Q)
+    num = np.zeros((len(net), len(weights), len(basis)))
+    for k in range(len(cols)):
         num += weighted[:, k] * net.take(cols[k], axis=2)
     num /= den
-    points = num.transpose(1, 2, 0).copy()
-    points[:, 0, :] = control_points[:, 0, :]
-    points[:, -1, :] = control_points[:, -1, :]
-    return points
+    num[:, :, 0] = net[:, :, 0]
+    num[:, :, -1] = net[:, :, -1]
+    return num
 
 
 @dataclass(frozen=True)
@@ -198,8 +218,9 @@ def sample_uniform(curve: NurbsCurve4D, n_samples: int) -> TrajectorySamples:
         raise ValidationError("n_samples must be >= 2")
     params = np.linspace(*curve.param_range, n_samples)
     basis = basis_matrix(curve.knots, curve.degree, params)
-    points = rational_blend(basis, curve.weights[None], curve.control_points[None])[0]
-    positions = points[:, :3]
-    speeds = points[:, 3]
+    net = curve.control_points.T[:, None]  # one-member planes (4, 1, C)
+    points = rational_blend(basis, basis_band(basis), curve.weights[None], net)[:, 0]
+    positions = points[:3].T
+    speeds = points[3]
     segment_lengths = np.linalg.norm(np.diff(positions, axis=0), axis=1)
     return TrajectorySamples(positions=positions, speeds=speeds, segment_lengths=segment_lengths)

@@ -80,7 +80,8 @@ def trajectory_powers(samples: TrajectorySamples, model: PowerQuadricModel) -> n
 
     The first sample reuses the first segment's power.
     """
-    powers, valid, _ = costs_mod._segment_powers(samples.positions, samples.segment_lengths, model)
+    steps = costs_mod._segment_steps(samples.positions.T)  # per-axis planes (3, Q-1)
+    powers, valid, _ = costs_mod._segment_powers(steps, samples.segment_lengths, model)
     powers = np.where(valid, powers, model.hover_power)
     return np.concatenate([[powers[0]], powers])
 

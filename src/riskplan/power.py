@@ -10,6 +10,7 @@ surface, i.e. solving one quadratic.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -131,15 +132,9 @@ def power_for_directions(
     """
     d = np.atleast_2d(np.asarray(directions, dtype=float))
     A, B = model.quadratic_coefficients(d)
-    powers = np.full(len(d), np.nan)
-
-    linear = np.abs(A) <= 1e-12
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_lin = -1.0 / B
-    lin_ok = linear & (t_lin > 0) & np.isfinite(t_lin)
-    powers[lin_ok] = t_lin[lin_ok]
 
     disc = B * B - 4.0 * A
+    linear = np.abs(A) <= 1e-12
     quad = ~linear & (disc >= 0)
     sq = np.sqrt(np.where(disc >= 0, disc, 0.0))
     # Stable form: q = -(B + sign(B)*sqrt(disc))/2; roots are q/A and 1/q.
@@ -148,11 +143,16 @@ def power_for_directions(
     with np.errstate(divide="ignore", invalid="ignore"):
         r1 = np.where(q != 0, q / A, np.nan)
         r2 = np.where(q != 0, 1.0 / q, -sq / (2.0 * A))
-    r1 = np.where((r1 > 0) & np.isfinite(r1), r1, np.inf)
-    r2 = np.where((r2 > 0) & np.isfinite(r2), r2, np.inf)
-    best = np.minimum(r1, r2)
-    quad_ok = quad & np.isfinite(best)
-    powers[quad_ok] = best[quad_ok]
+    # r > 0 is False for NaN and -inf and keeps +inf, so every root that is
+    # not a positive finite number reads as +inf.
+    best = np.minimum(np.where(r1 > 0, r1, np.inf), np.where(r2 > 0, r2, np.inf))
+    powers = np.where(quad & np.isfinite(best), best, np.nan)
+
+    if linear.any():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_lin = -1.0 / B
+        lin_ok = linear & (t_lin > 0) & np.isfinite(t_lin)
+        powers[lin_ok] = t_lin[lin_ok]
 
     return powers, np.isfinite(powers)
 
@@ -177,6 +177,11 @@ def load_power_samples(path) -> list[PowerSample]:
                 power = float(row["power_w"])
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"{path}:{lineno}: malformed row ({exc})") from exc
+            if not all(math.isfinite(v) for v in (*vec, power)):
+                raise ValidationError(
+                    f"{path}:{lineno}: vx, vy, vz and power_w must be finite, got "
+                    f"{row['vx']},{row['vy']},{row['vz']},{row['power_w']}"
+                )
             norm = np.linalg.norm(vec)
             if norm == 0:
                 raise ValidationError(f"{path}:{lineno}: zero direction vector")

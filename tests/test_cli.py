@@ -110,6 +110,35 @@ class TestPlanCommand:
         assert f"environment.obstacles[{index}]: sphere radius must be finite" in err
 
 
+    @pytest.mark.parametrize(
+        "entry, where",
+        [
+            ({"type": "sphere", "center": [5, 5, 5], "radius": True}, "obstacles"),
+            ({"type": "box", "min": [1, 1, False], "max": [2, 2, 2]}, "obstacles"),
+            ({"center": [3, 3, 3], "half_extents": [1, 1, 1],
+              "rotation": [[True, 0, 0], [0, 1, 0], [0, 0, 1]]}, "hulls"),
+        ],
+        ids=["sphere-radius", "box-corner", "hull-rotation"],
+    )
+    def test_boolean_in_world_entry_exit_code(self, tmp_path, capsys, no_planning, entry, where):
+        csv = write_power_csv(tmp_path / "power.csv")
+        data = corridor_scenario_dict(csv, n_gen=20)
+        data["environment"][where].append(entry)
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(data))
+        assert main(["plan", str(path), "--out", str(tmp_path / "out")]) == 2
+        index = len(data["environment"][where]) - 1
+        assert f"environment.{where}[{index}]: " in capsys.readouterr().err
+
+    def test_non_finite_calibration_exit_code(self, tmp_path, capsys):
+        csv = write_power_csv(tmp_path / "power.csv")
+        csv.write_text(csv.read_text() + "nan,0,0,100\n")
+        path = tmp_path / "corridor.json"
+        path.write_text(json.dumps(corridor_scenario_dict(csv, n_gen=20)))
+        assert main(["plan", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "power.csv:8: vx, vy, vz and power_w must be finite" in capsys.readouterr().err
+
+
 def member_entry(time_s) -> dict:
     """A pareto.json front member with the given ``time_s`` cost."""
     return {
@@ -178,6 +207,14 @@ class TestFitPowerCommand:
         assert model["hover_power_w"] == pytest.approx(np.mean([600, 600, 600, 600, 800, 500]))
         report = json.loads((tmp_path / "fit" / "power_report.json").read_text())
         assert report["n_validation"] == 12
+
+    @pytest.mark.parametrize("row", ["inf,0,0,100", "1,0,0,inf"])
+    def test_non_finite_row_exit_code(self, tmp_path, capsys, row):
+        csv = tmp_path / "cal.csv"
+        csv.write_text("vx,vy,vz,power_w\n1,0,0,600\n-1,0,0,600\n0,1,0,600\n"
+                       f"0,-1,0,600\n0,0,1,800\n0,0,-1,500\n{row}\n")
+        assert main(["fit-power", str(csv), "--out", str(tmp_path / "fit")]) == 2
+        assert "cal.csv:8: vx, vy, vz and power_w must be finite" in capsys.readouterr().err
 
     def test_fit_failure_exit_code(self, tmp_path):
         csv = tmp_path / "cal.csv"

@@ -11,8 +11,10 @@ from riskplan.costs import (
     _safety_batch,
     _segment_directions,
     _segment_lengths,
+    _segment_steps,
     _time_batch,
     check_constraints,
+    hull_cull_boxes,
     sdf_point_cost,
 )
 from riskplan.environment import (
@@ -40,6 +42,27 @@ def straight_samples(length, n, speed, z=5.0):
     xs = np.linspace(0, length, n)
     positions = np.column_stack([xs, np.full(n, 5.0), np.full(n, z)])
     return make_samples(positions, np.full(n, speed))
+
+
+def steps_of(positions):
+    """Step planes (3, ..., Q-1) of trajectories given as rows (..., Q, 3)."""
+    return _segment_steps(np.moveaxis(np.asarray(positions, dtype=float), -1, 0))
+
+
+def lengths_of(positions):
+    return _segment_lengths(steps_of(positions))
+
+
+def hull_cost(positions, hulls, r_ch_max):
+    """The hull cost kernel on trajectories given as rows (N, Q, 3)."""
+    planes = np.moveaxis(np.asarray(positions, dtype=float), -1, 0)
+    return _hull_cost_batch(planes, hulls, hull_cull_boxes(hulls, r_ch_max), r_ch_max)
+
+
+def energy_of(positions, speeds, model):
+    """The energy kernel on trajectories given as rows (N, Q, 3)."""
+    steps = steps_of(positions)
+    return _energy_batch(steps, _segment_lengths(steps), speeds, model, V_FLOOR)
 
 
 PARAMS = SafetyParams(r_sdf_min=1.0, r_sdf_max=5.0, r_ch_max=2.0, k_a=0.5, k_b=0.5, r_uav=0.5)
@@ -104,7 +127,7 @@ class TestHullPointCost:
     @staticmethod
     def cost_at(points, hulls, r_ch_max=2.0):
         """Cost of one trajectory through the given points."""
-        return _hull_cost_batch(np.asarray(points, dtype=float)[None], hulls, r_ch_max)[0]
+        return hull_cost(np.asarray(points, dtype=float)[None], hulls, r_ch_max)[0]
 
     def test_inside(self):
         assert self.cost_at([[0.0, 0, 0]], [self.HULL])[0] == 1.0
@@ -141,9 +164,9 @@ class FixedDistanceHull:
         self.distances = distances
 
     def signed_distance(self, points):
-        assert points.shape == self.distances.shape + (3,)
+        assert points.shape == (self.distances.size, 3)
         assert not np.any(points)
-        return self.distances
+        return self.distances.ravel()
 
 
 class TestHullCostClamp:
@@ -172,7 +195,7 @@ class TestHullCostClamp:
         d = self.distances(int(r_ch_max * 1000), r_ch_max)
         positions = np.zeros(d.shape + (3,))
         for sets in ([d], [d, d[:, ::-1].copy()]):
-            got = _hull_cost_batch(positions, [FixedDistanceHull(x) for x in sets], r_ch_max)
+            got = hull_cost(positions, [FixedDistanceHull(x) for x in sets], r_ch_max)
             want = self.reference(sets, r_ch_max)
             assert np.array_equal(got, want, equal_nan=True)
             assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -188,6 +211,27 @@ def unculled_hull_cost(positions, hulls, r_ch_max):
     return total
 
 
+def row_culled_hull_cost(positions, hulls, r_ch_max):
+    """The culled hull cost as it was before the plane layout: positions
+    as rows (N, Q, 3) and the cull boxes rebuilt on every call."""
+    total = np.zeros(positions.shape[:-1])
+    axes = np.ascontiguousarray(positions.transpose(0, 2, 1))
+    lo, hi = axes.min(axis=2), axes.max(axis=2)
+    centers = np.array([hull.center for hull in hulls]).reshape(-1, 3)
+    half = np.array([hull.half_extents for hull in hulls]).reshape(-1, 3)
+    rotations = np.array([hull.rotation for hull in hulls]).reshape(-1, 3, 3)
+    slack = 1e-3 * (np.abs(centers).max(axis=1) + half.sum(axis=1) + r_ch_max)
+    reach = np.einsum("hij,hj->hi", np.abs(rotations), half) + (r_ch_max + slack)[:, None]
+    apart = (lo[:, None] > centers + reach) | (hi[:, None] < centers - reach)
+    near = ~apart.any(axis=2) | ~np.isfinite(hi - lo).all(axis=1)[:, None]
+    for hull, hull_near in zip(hulls, near.T):
+        rows = np.flatnonzero(hull_near)
+        if rows.size:
+            d = hull.signed_distance(positions[rows])
+            total[rows] += np.minimum(np.maximum(1.0 - d / r_ch_max, 0.0), 1.0)
+    return total
+
+
 def random_rotation(rng):
     q, r = np.linalg.qr(rng.normal(size=(3, 3)))
     q = q * np.sign(np.diag(r))
@@ -199,7 +243,7 @@ class TestHullCulling:
 
     @staticmethod
     def assert_same_bits(positions, hulls, r_ch_max):
-        got = _hull_cost_batch(positions, hulls, r_ch_max)
+        got = hull_cost(positions, hulls, r_ch_max)
         want = unculled_hull_cost(positions, hulls, r_ch_max)
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -251,6 +295,33 @@ class TestHullCulling:
         got = self.assert_same_bits(positions, [hull], r_ch_max)
         assert np.any(got > 0.0) and np.any(got == 0.0)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_plane_cost_matches_row_form(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        hulls = [
+            OrientedHull(
+                center=rng.uniform([5, 5, 2], [55, 35, 14]),
+                half_extents=rng.uniform(0.3, 4.0, 3),
+                rotation=random_rotation(rng),
+            )
+            for _ in range(6)
+        ]
+        starts = rng.uniform([-20, -20, -10], [80, 60, 26], (60, 1, 3))
+        starts[20:26, 0] = [hull.center for hull in hulls]  # through each hull
+        positions = starts + np.cumsum(rng.normal(scale=0.5, size=(60, 50, 3)), axis=1)
+        positions[3] = positions[3, 0]  # every sample on the start
+        positions[5, 10:20] = positions[5, 9]
+        positions[7, 4, 1] = np.nan
+        positions[9, 30, 2] = np.inf
+        r_ch_max = [2.0, 0.7, 1.0 / 3.0][seed]
+        planes = np.ascontiguousarray(positions.transpose(2, 0, 1))
+        with np.errstate(invalid="ignore"):
+            got = _hull_cost_batch(planes, hulls, hull_cull_boxes(hulls, r_ch_max), r_ch_max)
+            want = row_culled_hull_cost(positions, hulls, r_ch_max)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.isnan(got[7, 4]) and (got > 0).any() and (got == 0).all(axis=1).any()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_row_is_never_skipped(self, bad):
         hulls = [
@@ -277,7 +348,7 @@ class TestSafetyCost:
         # shift far from the obstacle corner
         positions = samples.positions + np.array([15, 3, 0])
         sdf = sdf_point_cost(env.clearance(positions), PARAMS)
-        hull = _hull_cost_batch(positions[None], env.hulls, PARAMS.r_ch_max)
+        hull = hull_cost(positions[None], env.hulls, PARAMS.r_ch_max)
         assert _safety_batch(sdf[None], hull, PARAMS.k_a, PARAMS.k_b)[0] == 0.0
 
     def test_constant_field_mean_equals_max(self):
@@ -290,7 +361,7 @@ class TestSafetyCost:
         samples = straight_samples(10.0, 21, 1.0, z=2.75)
         positions = samples.positions + np.array([5, 0, 0])
         sdf = sdf_point_cost(env.clearance(positions), PARAMS)
-        hull = _hull_cost_batch(positions[None], env.hulls, PARAMS.r_ch_max)
+        hull = hull_cost(positions[None], env.hulls, PARAMS.r_ch_max)
         got = _safety_batch(sdf[None], hull, PARAMS.k_a, PARAMS.k_b)[0]
         assert got == pytest.approx(0.25, abs=1e-9)
 
@@ -306,7 +377,7 @@ class TestSafetyCost:
             [np.linspace(4.5, 5.5, 9), np.full(9, 5.0), np.full(9, 5.0)]
         )
         sdf = sdf_point_cost(env.clearance(positions), PARAMS)
-        hull = _hull_cost_batch(positions[None], env.hulls, PARAMS.r_ch_max)
+        hull = hull_cost(positions[None], env.hulls, PARAMS.r_ch_max)
         bound = PARAMS.k_a * 2 + PARAMS.k_b * 2 * len(hulls)
         assert _safety_batch(sdf[None], hull, PARAMS.k_a, PARAMS.k_b)[0] <= bound
 
@@ -320,7 +391,7 @@ class TestSafetyCost:
         )
         both = np.stack([positions, positions[::-1]])
         sdf = sdf_point_cost(env.clearance(both.reshape(-1, 3)), PARAMS).reshape(2, -1)
-        hull_costs = _hull_cost_batch(both, env.hulls, PARAMS.r_ch_max)
+        hull_costs = hull_cost(both, env.hulls, PARAMS.r_ch_max)
         forward, backward = _safety_batch(sdf, hull_costs, PARAMS.k_a, PARAMS.k_b)
         assert forward == pytest.approx(backward, abs=1e-12)
 
@@ -330,10 +401,7 @@ class TestEnergyCost:
         model = symmetric_model(500.0)
         samples = straight_samples(20.0, 21, 2.0)
         # total time 10 s at 500 W
-        energy, ok = _energy_batch(
-            samples.positions[None], samples.segment_lengths[None], samples.speeds[None],
-            model, V_FLOOR,
-        )
+        energy, ok = energy_of(samples.positions[None], samples.speeds[None], model)
         assert ok.all()
         assert energy[0] == pytest.approx(5000.0, rel=1e-9)
 
@@ -342,9 +410,7 @@ class TestEnergyCost:
         samples = straight_samples(20.0, 21, 1.0)
         positions = np.stack([samples.positions] * 2)
         speeds = np.stack([samples.speeds, samples.speeds * 2.0])
-        (slow, fast), ok = _energy_batch(
-            positions, _segment_lengths(positions), speeds, model, V_FLOOR
-        )
+        (slow, fast), ok = energy_of(positions, speeds, model)
         assert ok.all()
         assert fast == pytest.approx(slow / 2.0)
 
@@ -355,9 +421,7 @@ class TestEnergyCost:
         up = np.column_stack([np.zeros(n), np.zeros(n), zs])
         down = np.column_stack([np.zeros(n), np.zeros(n), zs[::-1]])
         positions = np.stack([up, down])
-        (e_up, e_down), ok = _energy_batch(
-            positions, _segment_lengths(positions), np.ones((2, n)), model, V_FLOOR
-        )
+        (e_up, e_down), ok = energy_of(positions, np.ones((2, n)), model)
         assert ok.all()
         assert e_up / e_down == pytest.approx(800.0 / 500.0, rel=1e-6)
 
@@ -367,7 +431,7 @@ class TestDoubleSpeedIdentities:
         rng = np.random.default_rng(23)
         positions = np.cumsum(rng.uniform(0.1, 1.0, size=(12, 3)), axis=0)
         speeds = rng.uniform(0.5, 1.0, 12)
-        lengths = _segment_lengths(positions)
+        lengths = lengths_of(positions)
         time, doubled = _time_batch(
             np.stack([lengths] * 2), np.stack([speeds, speeds * 2.0]), V_FLOOR
         )
@@ -379,9 +443,7 @@ class TestDoubleSpeedIdentities:
         positions = np.cumsum(rng.uniform(0.1, 1.0, size=(12, 3)), axis=0)
         speeds = rng.uniform(0.5, 1.0, 12)
         both = np.stack([positions] * 2)
-        (energy, doubled), ok = _energy_batch(
-            both, _segment_lengths(both), np.stack([speeds, speeds * 2.0]), model, V_FLOOR
-        )
+        (energy, doubled), ok = energy_of(both, np.stack([speeds, speeds * 2.0]), model)
         assert ok.all()
         assert doubled == energy / 2.0
 
@@ -395,15 +457,11 @@ class TestAdditivity:
         # The two halves share sample 5 and form a batch of two.
         halves_pos = np.stack([positions[:6], positions[5:]])
         halves_speed = np.stack([speeds[:6], speeds[5:]])
-        halves_time = _time_batch(_segment_lengths(halves_pos), halves_speed, V_FLOOR)
-        whole_time = _time_batch(_segment_lengths(positions)[None], speeds[None], V_FLOOR)
+        halves_time = _time_batch(lengths_of(halves_pos), halves_speed, V_FLOOR)
+        whole_time = _time_batch(lengths_of(positions)[None], speeds[None], V_FLOOR)
         assert halves_time.sum() == pytest.approx(whole_time[0], rel=1e-12)
-        halves_energy, halves_ok = _energy_batch(
-            halves_pos, _segment_lengths(halves_pos), halves_speed, model, V_FLOOR
-        )
-        whole_energy, whole_ok = _energy_batch(
-            positions[None], _segment_lengths(positions)[None], speeds[None], model, V_FLOOR
-        )
+        halves_energy, halves_ok = energy_of(halves_pos, halves_speed, model)
+        whole_energy, whole_ok = energy_of(positions[None], speeds[None], model)
         assert halves_ok.all() and whole_ok.all()
         assert halves_energy.sum() == pytest.approx(whole_energy[0], rel=1e-12)
 
@@ -468,11 +526,11 @@ class TestPerAxisSegmentKernels:
     def test_lengths_match_norm(self, seed):
         pos = self.positions(seed)
         want = np.linalg.norm(np.diff(pos, axis=-2), axis=-1)
-        assert np.array_equal(_segment_lengths(pos), want)
-        assert np.array_equal(_segment_lengths(pos[3]), want[3])
+        assert np.array_equal(lengths_of(pos), want)
+        assert np.array_equal(lengths_of(pos[3]), want[3])
         # A strided view, as the decoded positions are.
         padded = np.concatenate([pos, pos[..., :1]], axis=-1)[..., :3]
-        assert np.array_equal(_segment_lengths(padded), want)
+        assert np.array_equal(lengths_of(padded), want)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_directions_match_broadcast_division(self, seed):
@@ -483,8 +541,8 @@ class TestPerAxisSegmentKernels:
         want = np.zeros_like(deltas)
         np.divide(deltas, lengths[..., None], out=want, where=want_nonzero[..., None])
         assert not want_nonzero.all()
-        dirs, nonzero = _segment_directions(pos, lengths)
+        dirs, nonzero = _segment_directions(steps_of(pos), lengths)
         assert np.array_equal(nonzero, want_nonzero)
         assert np.array_equal(dirs, want)
-        dirs_one, _ = _segment_directions(pos[0], lengths[0])
+        dirs_one, _ = _segment_directions(steps_of(pos[0]), lengths[0])
         assert np.array_equal(dirs_one, want[0])

@@ -513,6 +513,89 @@ class TestPerAxisKernels:
             )
 
 
+def per_column_query(sdf: SignedDistanceField, points: np.ndarray, out_of_range="raise"):
+    """The query as it was before the plane layout: three per-axis column
+    passes and ``1 - f`` spelled out at every use."""
+    pts = np.asarray(points, dtype=float)
+    res = sdf.resolution
+    nx, ny, nz = sdf.dims
+    lows = sdf.origin.tolist()
+    good = None
+    for k, (n, lo) in enumerate(zip(sdf.dims, lows)):
+        x = pts[:, k]
+        inside = (x >= lo - res) & (x <= lo + n * res + res)
+        good = inside if good is None else good & inside
+    bad = None if good.all() else ~good
+    if bad is not None:
+        if out_of_range == "raise":
+            raise OutOfDomainError(
+                f"point {pts[bad][0].tolist()} is not finite or lies outside the "
+                "distance field by more than one voxel"
+            )
+        pts = np.where(good[:, None], pts, sdf.origin)
+    corner, fracs = [], []
+    for k, (n, lo) in enumerate(zip(sdf.dims, lows)):
+        g = np.minimum(np.maximum((pts[:, k] - lo) / res - 0.5, 0.0), n - 1.0)
+        i0 = np.minimum(np.floor(g).astype(np.intp), max(n - 2, 0))
+        corner.append(i0)
+        fracs.append(np.minimum(np.maximum(g - i0, 0.0), 1.0))
+    ix, iy, iz = corner
+    base = (ix * ny + iy) * nz + iz
+    sx = ny * nz if nx > 1 else 0
+    sy = nz if ny > 1 else 0
+    sz = 1 if nz > 1 else 0
+    d = sdf.distance
+    fx, fy, fz = fracs
+    c00 = d.take(base) * (1 - fx) + d.take(base + sx) * fx
+    c10 = d.take(base + sy) * (1 - fx) + d.take(base + (sx + sy)) * fx
+    c01 = d.take(base + sz) * (1 - fx) + d.take(base + (sx + sz)) * fx
+    c11 = d.take(base + (sy + sz)) * (1 - fx) + d.take(base + (sx + sy + sz)) * fx
+    c0 = c00 * (1 - fy) + c10 * fy
+    c1 = c01 * (1 - fy) + c11 * fy
+    out = c0 * (1 - fz) + c1 * fz
+    return out if bad is None else np.where(bad, np.nan, out)
+
+
+class TestPlaneQuery:
+    """The one-pass query over (3, M) planes keeps every bit of the per-column form."""
+
+    @pytest.mark.parametrize("dims", [(48, 32, 16), (7, 5, 4), (6, 1, 5), (1, 4, 3), (1, 1, 1)])
+    def test_matches_per_column_form(self, dims):
+        rng = np.random.default_rng(sum(dims) + 100)
+        sdf = random_field(rng, dims)
+        res = sdf.resolution
+        upper = sdf.origin + np.asarray(dims) * res
+        inside = rng.uniform(sdf.origin - res, upper + res, (3000, 3))
+        outside = rng.uniform(sdf.origin - 3 * res, upper + 3 * res, (600, 3))
+        pts = np.vstack([inside, outside, border_points(sdf)])
+        pts[rng.random(pts.shape) < 0.01] = np.nan
+        pts[-1] = [np.inf, -np.inf, np.nan]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = per_column_query(sdf, pts, "nan")
+            assert np.isnan(want).any() and np.isfinite(want).any()
+            assert np.array_equal(sdf.query(pts, out_of_range="nan"), want, equal_nan=True)
+            # A plane view (the transpose of contiguous (3, M) planes), as
+            # the optimizer passes its samples.
+            view = np.ascontiguousarray(pts.T).T
+            assert np.array_equal(sdf.query(view, out_of_range="nan"), want, equal_nan=True)
+            good = np.isfinite(want)
+            assert np.array_equal(sdf.query(pts[good]), per_column_query(sdf, pts[good]))
+            assert np.array_equal(sdf.query(view[good]), want[good])
+
+    def test_raise_mode_names_the_same_point(self):
+        rng = np.random.default_rng(8)
+        sdf = random_field(rng, (6, 5, 4))
+        pts = rng.uniform(sdf.origin, sdf.origin + 1.0, (50, 3))
+        for bad_row in ([np.nan, 0.5, 0.5], [sdf.origin[0] - 5.0, 0.0, 0.0]):
+            pts[17] = bad_row
+            with pytest.raises(OutOfDomainError) as want:
+                per_column_query(sdf, pts)
+            with pytest.raises(OutOfDomainError) as got:
+                sdf.query(np.ascontiguousarray(pts.T).T)
+            assert str(got.value) == str(want.value)
+
+
 class TestNonFiniteQuery:
     """A point with a NaN coordinate is out of range, like one far outside."""
 

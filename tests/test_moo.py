@@ -16,6 +16,7 @@ from riskplan.environment import DomainBox, build_environment
 from riskplan.errors import DecodeError, ValidationError
 from riskplan.moo import (
     _crowding_from_arrays,
+    _dominance_matrix,
     _fronts_from_arrays,
     _layout_views,
     _mutation_batch,
@@ -273,6 +274,77 @@ class TestVariationOperators:
         d20 = np.abs(_mutation_batch(pop, lower, upper, 1.0, 20.0, rng) - 0.5).mean()
         d100 = np.abs(_mutation_batch(pop, lower, upper, 1.0, 100.0, rng) - 0.5).mean()
         assert d100 < d20
+
+
+def three_comparison_dominance(objs, violations):
+    """``_dominance_matrix`` with the strict Pareto part built from its own
+    ``<`` comparisons, as before ``leq & ~leq.T``."""
+    feas = violations <= 0.0
+    col = objs[:, 0]
+    leq = col[:, None] <= col[None, :]
+    lt = col[:, None] < col[None, :]
+    for k in range(1, objs.shape[1]):
+        col = objs[:, k]
+        leq &= col[:, None] <= col[None, :]
+        lt |= col[:, None] < col[None, :]
+    pareto = leq & lt
+    fi = feas[:, None]
+    fj = feas[None, :]
+    less_violation = violations[:, None] < violations[None, :]
+    return (fi & ~fj) | (~fi & ~fj & less_violation) | (fi & fj & pareto)
+
+
+def full_array_mutation(pop, lower, upper, rate, eta, rng):
+    """``_mutation_batch`` with its arithmetic on every entry, applied or not."""
+    n, d = pop.shape
+    apply = rng.random((n, d)) < rate
+    u = rng.random((n, d))
+    span = upper - lower
+    delta1 = (pop - lower) / span
+    delta2 = (upper - pop) / span
+    exp = eta + 1.0
+    low_side = u < 0.5
+    val_low = 2.0 * u + (1.0 - 2.0 * u) * (1.0 - delta1) ** exp
+    val_high = 2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - delta2) ** exp
+    deltaq = np.where(low_side, val_low ** (1.0 / exp) - 1.0, 1.0 - val_high ** (1.0 / exp))
+    mutated = np.clip(pop + deltaq * span, lower, upper)
+    return np.where(apply, mutated, pop)
+
+
+class TestLoopKernelReferences:
+    """The rewritten loop kernels keep every bit of their earlier forms."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_dominance_matches_three_comparison_form(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 90))
+        objs, viol = random_scores(rng, n)
+        if seed % 2:
+            # Equal violations among infeasible members, and negative and
+            # exactly zero totals among feasible ones.
+            viol = np.where(viol > 0, 1.0, -rng.integers(0, 2, n).astype(float))
+        if seed % 4 == 3:
+            objs[rng.random(objs.shape) < 0.05] = np.nan
+            viol[rng.random(n) < 0.05] = np.nan
+        assert np.array_equal(_dominance_matrix(objs, viol), three_comparison_dominance(objs, viol))
+
+    @pytest.mark.parametrize("shape", [(40, 32), (80, 7), (3, 500), (1, 1)])
+    @pytest.mark.parametrize("rate", [0.0, None, 0.3, 1.0], ids=["0", "1/D", "0.3", "1"])
+    def test_mutation_matches_full_array_form(self, shape, rate):
+        n, d = shape
+        rng = np.random.default_rng(n * d)
+        lower = rng.uniform(-5.0, 5.0, d)
+        upper = lower + rng.uniform(0.1, 10.0, d)
+        pop = rng.uniform(lower, upper, (n, d))
+        pop[:, ::3] = lower[::3]  # entries on both bounds
+        pop[:, 1::3] = upper[1::3]
+        rate = 1.0 / d if rate is None else rate
+        for eta in (20.0, 2.5):
+            got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
+            got = _mutation_batch(pop, lower, upper, rate, eta, got_rng)
+            want = full_array_mutation(pop, lower, upper, rate, eta, want_rng)
+            assert np.array_equal(got, want)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def zdt1_batch(decisions: np.ndarray):

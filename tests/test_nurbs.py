@@ -12,6 +12,7 @@ from riskplan.nurbs import (
     basis_matrix,
     find_span,
     make_clamped_uniform_knots,
+    basis_band,
     rational_blend,
     sample_uniform,
 )
@@ -240,6 +241,11 @@ def reference_blend(basis, weights, control_points):
     return points
 
 
+def planes(rows):
+    """Per-coordinate planes (D, N, Q) of points given as rows (N, Q, D)."""
+    return np.ascontiguousarray(np.moveaxis(rows, -1, 0))
+
+
 class TestRationalBlend:
     """The banded numerator keeps every bit of the dense sum."""
 
@@ -261,8 +267,8 @@ class TestRationalBlend:
             for n_samples in (2, 50, 200):
                 basis = basis_matrix(knots, degree, np.linspace(0.0, 1.0, n_samples))
                 weights, ctrl = self.net(rng, n_curves, n_ctrl)
-                got = rational_blend(basis, weights, ctrl)
-                want = reference_blend(basis, weights, ctrl)
+                got = rational_blend(basis, basis_band(basis), weights, planes(ctrl))
+                want = planes(reference_blend(basis, weights, ctrl))
                 assert got.flags.c_contiguous
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -277,8 +283,8 @@ class TestRationalBlend:
         weights[3, 4] = bad
         weights[5, 8] = bad
         with np.errstate(invalid="ignore"):
-            got = rational_blend(basis, weights, ctrl)
-            want = reference_blend(basis, weights, ctrl)
+            got = rational_blend(basis, basis_band(basis), weights, planes(ctrl))
+            want = planes(reference_blend(basis, weights, ctrl))
         assert np.array_equal(np.isnan(got), np.isnan(want))
-        assert np.isnan(got[[1, 3, 5], 1:-1]).all()
+        assert np.isnan(got[:, [1, 3, 5], 1:-1]).all()
         assert np.array_equal(got, want, equal_nan=True)

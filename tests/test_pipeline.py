@@ -58,7 +58,8 @@ class TestPlanOutputs:
         scn, result, _ = planned
         ctx = result.context
         decisions = np.array([ind.decision for ind in result.front])
-        positions, speeds = _decode_batch(decisions, ctx)
+        planes = _decode_batch(decisions, ctx)
+        positions, speeds = planes[:3].transpose(1, 2, 0), planes[3]
         for i, ind in enumerate(result.front):
             curve = decode(
                 ind.decision, scn.start, scn.goal, scn.v_start, scn.v_goal, scn.hyper.degree

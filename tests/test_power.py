@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,80 @@ def reference_powers(model, directions):
     return powers, np.isfinite(powers)
 
 
+def two_branch_powers(model, directions):
+    """``power_for_directions`` as it was before the linear branch became
+    conditional: both branches always run, and every root is tested with
+    ``isfinite`` besides ``> 0``."""
+    d = np.atleast_2d(np.asarray(directions, dtype=float))
+    A, B = model.quadratic_coefficients(d)
+    powers = np.full(len(d), np.nan)
+    linear = np.abs(A) <= 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_lin = -1.0 / B
+    lin_ok = linear & (t_lin > 0) & np.isfinite(t_lin)
+    powers[lin_ok] = t_lin[lin_ok]
+    disc = B * B - 4.0 * A
+    quad = ~linear & (disc >= 0)
+    sq = np.sqrt(np.where(disc >= 0, disc, 0.0))
+    sign = np.where(B >= 0, 1.0, -1.0)
+    q = -(B + sign * sq) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r1 = np.where(q != 0, q / A, np.nan)
+        r2 = np.where(q != 0, 1.0 / q, -sq / (2.0 * A))
+    r1 = np.where((r1 > 0) & np.isfinite(r1), r1, np.inf)
+    r2 = np.where((r2 > 0) & np.isfinite(r2), r2, np.inf)
+    best = np.minimum(r1, r2)
+    quad_ok = quad & np.isfinite(best)
+    powers[quad_ok] = best[quad_ok]
+    return powers, np.isfinite(powers)
+
+
+class TestTwoBranchReference:
+    @staticmethod
+    def check(model, dirs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, got_valid = power_for_directions(model, dirs)
+        want, want_valid = two_branch_powers(model, dirs)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(got_valid, want_valid)
+        return want_valid
+
+    def test_random_and_zero_directions(self):
+        rng = np.random.default_rng(41)
+        dirs = np.vstack([random_unit_vectors(rng, 500), AXIS_DIRECTIONS, np.zeros((3, 3))])
+        valid = []
+        for _ in range(10):
+            model = fit_quadric(axis_samples(list(rng.uniform(300, 1500, 6))))
+            valid.append(self.check(model, dirs))
+        assert np.concatenate(valid).any()
+        assert not valid[0][-3:].any()  # the zero direction has no power
+
+    def test_linear_model(self):
+        rng = np.random.default_rng(43)
+        dirs = np.vstack([random_unit_vectors(rng, 300), AXIS_DIRECTIONS, np.zeros((1, 3))])
+        flat = PowerQuadricModel(a=0.0, b=0.0, c=0.0, g=-2e-3, h=1e-3, k=-1e-3, hover_power=500.0)
+        valid = self.check(flat, dirs)
+        assert valid.any() and not valid.all()
+        # |A| <= 1e-12 on a few directions only, beside quadratic ones.
+        saddle = PowerQuadricModel(a=-4e-6, b=-4e-6, c=4e-6, g=0.0, h=0.0, k=-3e-3, hover_power=500.0)
+        s = np.sqrt(0.5)
+        self.check(saddle, np.vstack([[[s, 0.0, s], [-s, 0.0, -s]], dirs]))
+
+    def test_directions_with_no_positive_root(self):
+        rng = np.random.default_rng(47)
+        dirs = random_unit_vectors(rng, 400)
+        # A > 0 and B > 0: both roots are negative.
+        both_negative = PowerQuadricModel(1e-5, 1e-5, 1e-5, 1e-2, 1e-2, 1e-2, hover_power=500.0)
+        assert not self.check(both_negative, np.abs(dirs)).any()
+        # A > 0 and B = 0: no real root.
+        no_real = PowerQuadricModel(1e-5, 2e-5, 3e-5, 0.0, 0.0, 0.0, hover_power=500.0)
+        assert not self.check(no_real, dirs).any()
+        for _ in range(10):
+            coeffs = rng.uniform(-1e-5, 1e-5, 3).tolist() + rng.uniform(-1e-2, 1e-2, 3).tolist()
+            self.check(PowerQuadricModel(*coeffs, hover_power=500.0), dirs)
+
+
 class TestRootPickOracle:
     def check(self, model, dirs):
         got, got_valid = power_for_directions(model, dirs)
@@ -257,4 +333,15 @@ class TestCsvLoading:
         path = tmp_path / "cal.csv"
         path.write_text("vx,vy,vz,power_w\n1,0,0,oops\n")
         with pytest.raises(ValidationError, match=":2"):
+            load_power_samples(path)
+
+    @pytest.mark.parametrize(
+        "row",
+        ["nan,0,0,100", "inf,0,0,100", "0,-inf,0,100", "1,0,0,inf", "1,0,0,nan", "0,0,NaN,-inf"],
+    )
+    def test_non_finite_row_reports_line(self, tmp_path, row):
+        # float() reads nan and inf; a fit through them fails inside the SVD.
+        path = tmp_path / "cal.csv"
+        path.write_text(f"vx,vy,vz,power_w\n1,0,0,600\n{row}\n0,0,1,800\n")
+        with pytest.raises(ValidationError, match=f"cal.csv:3: .*must be finite, got {row}"):
             load_power_samples(path)

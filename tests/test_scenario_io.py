@@ -108,6 +108,35 @@ class TestLoadScenario:
         assert message.startswith("environment.obstacles[1]: ")
         assert "radius must be finite and >= 0" in message
 
+    @pytest.mark.parametrize(
+        "key, entry, problem",
+        [
+            ("obstacles", {"type": "sphere", "center": [5, 5, 5], "radius": True},
+             "sphere radius must be finite and >= 0, got True"),
+            ("obstacles", {"type": "capsule", "a": [1, 1, 8], "b": [9, 9, 8], "radius": False},
+             "capsule radius must be finite and >= 0, got False"),
+            ("obstacles", {"type": "box", "min": [1, 1, True], "max": [2, 2, 2]},
+             "box.min must be a 3-vector of numbers, got [1, 1, True]"),
+            ("obstacles", {"type": "sphere", "center": [5, False, 5], "radius": 1.0},
+             "sphere.center must be a 3-vector of numbers"),
+            ("hulls", {"center": [5, 5, 5], "half_extents": [1, 1, 1],
+                       "rotation": [[1, 0, 0], [0, True, 0], [0, 0, 1]]},
+             "hull rotation must be a 3x3 matrix of numbers"),
+            ("hulls", {"center": [5, 5, 5], "half_extents": [True, 1, 1]},
+             "hull.half_extents must be a 3-vector of numbers"),
+        ],
+        ids=["sphere-radius", "capsule-radius", "box-corner", "sphere-center",
+             "hull-rotation", "hull-half-extents"],
+    )
+    def test_boolean_in_world_entry_rejected(self, power_csv, tmp_path, key, entry, problem):
+        # numpy reads true as 1 and false as 0; neither is a coordinate.
+        data = minimal_dict(power_csv)
+        data["environment"][key] = [entry]
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(data, base_dir=tmp_path)
+        [message] = err.value.violations
+        assert message.startswith(f"environment.{key}[0]: {problem}")
+
     def test_unknown_obstacle_type(self, power_csv, tmp_path):
         data = minimal_dict(power_csv)
         data["environment"]["obstacles"] = [{"type": "torus"}]

@@ -26,7 +26,14 @@ The set:
   computed branch of ``costs._hull_cost_batch`` are covered;
 - the corridor with 100 generations, seeds 7 and 8: ``sweep.csv`` of the
   ``coefficients`` sweep at spacing 0.02 and of the ``replan`` wind sweep
-  at step 0.25.
+  at step 0.25;
+- the cost and the violation bytes of ``moo.evaluate_batch`` on a fixed,
+  seeded population of 200 rows on the corridor and on city world 9. The
+  plans rarely reach the edge branches of scoring, so the population
+  holds them on purpose: rows with control points outside the domain (and
+  one with a non-finite entry), rows whose interior control points all sit
+  on the start (zero-length segments), and weights and speeds at both
+  bounds.
 """
 
 from __future__ import annotations
@@ -43,10 +50,15 @@ from pathlib import Path
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import numpy as np  # noqa: E402  (after the thread pins)
+
 PLAN_FILES = ("pareto.json", "trajectory.csv", "generations.csv")
 SEEDS = (7, 8)
 CITY_WORLDS = (7, 8, 9)
 SWEEP_N_GEN = 100
+EDGE_ROWS = 200
+EDGE_INTERIOR = 5
+EDGE_WORLDS = ("corridor", "city-9")
 SWEEPS = {
     "coefficients": ({"kind": "coefficients", "spacing": 0.02}, False),
     "replan-wind": ({"kind": "risk", "axis": "wind", "step": 0.25}, True),
@@ -55,6 +67,34 @@ SWEEPS = {
 
 def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _edge_population(rng, lower, upper, start):
+    """``EDGE_ROWS`` decision vectors within ``lower``/``upper``, every
+    tenth row given one of the edge cases. The layout is the documented
+    one: [w_0, (x, y, z, speed, w) per interior control point, w_n]."""
+    pop = rng.uniform(lower, upper, (EDGE_ROWS, len(lower)))
+    rows = pop[:, 1:-1].reshape(EDGE_ROWS, -1, 5)  # a view into ``pop``
+    extent = upper[1:4] - lower[1:4]
+    entry = np.full(len(lower), 4)  # 0-2: x, y, z; 3: speed; 4: weight
+    entry[1:-1] = np.arange(len(lower) - 2) % 5
+    speed_or_weight = entry >= 3
+    for i in range(0, EDGE_ROWS, 10):
+        case = (i // 10) % 6
+        if case == 0:  # pushed outside the domain, up to half its extent
+            rows[i, rng.integers(rows.shape[1]), :3] += rng.choice([-1, 1], 3) * extent * 0.5
+        elif case == 1:  # every interior control point on the start
+            rows[i, :, :3] = start
+        elif case == 2:  # the same, with speeds and weights at their lower bounds
+            rows[i, :, :3] = start
+            pop[i, speed_or_weight] = lower[speed_or_weight]
+        elif case == 3:  # speeds and weights at their upper bounds
+            pop[i, speed_or_weight] = upper[speed_or_weight]
+        elif case == 4:  # outside a face by less than one voxel
+            rows[i, 0, 0] = upper[1] + 0.2
+        else:  # a non-finite coordinate
+            rows[i, -1, 2] = np.inf
+    return pop
 
 
 def main(argv=None) -> int:
@@ -68,8 +108,10 @@ def main(argv=None) -> int:
 
     import city
     from riskplan.environment import build_environment
+    from riskplan.moo import evaluate_batch, make_context
     from riskplan.pipeline import plan, sweep
-    from riskplan.scenario import load_scenario, scenario_from_dict
+    from riskplan.power import fit_quadric, load_power_samples
+    from riskplan.scenario import load_scenario, run_settings, scenario_from_dict
 
     scenarios = root / "scenarios"
     corridor = load_scenario(scenarios / "corridor.json")
@@ -88,13 +130,32 @@ def main(argv=None) -> int:
         "corridor": corridor, **cities,
         "seed-failure-city": scenario_from_dict(failure, base_dir=scenarios),
     }
+    envs = {}
     for label, scn in fields.items():
-        distance = build_environment(
+        envs[label] = build_environment(
             scn.domain, scn.obstacles, scn.hulls, scn.resolution, scn.max_voxels
-        ).sdf.distance
+        )
+        distance = envs[label].sdf.distance
         dims = "x".join(str(n) for n in distance.shape)
         digest = hashlib.sha256(distance.tobytes()).hexdigest()
         print(f"{digest}  field/{label} dims={dims}", flush=True)
+
+    for label in EDGE_WORLDS:
+        scn, h = fields[label], fields[label].hyper
+        ctx = make_context(
+            env=envs[label], power=fit_quadric(load_power_samples(scn.power_calibration)),
+            safety=run_settings(h, scn.rng_seed)[0], start=scn.start, goal=scn.goal,
+            v_start=scn.v_start, v_goal=scn.v_goal, degree=h.degree, n_samples=h.n_nurbs,
+            a_max=h.a_max, n_interior=EDGE_INTERIOR, v_floor=h.v_floor,
+            weight_bounds=(h.weight_min, h.weight_max),
+        )
+        rng = np.random.default_rng(EDGE_ROWS)
+        pop = _edge_population(rng, ctx.bounds.lower, ctx.bounds.upper, scn.start)
+        with np.errstate(all="ignore"):
+            costs, violations = evaluate_batch(pop, ctx)
+        for name, arr in (("costs", costs), ("violations", violations)):
+            digest = hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+            print(f"{digest}  evaluate/{label} {name}", flush=True)
 
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
