@@ -112,7 +112,7 @@ def _cmd_sweep(args) -> int:
     except (OSError, ValueError) as exc:
         raise ValidationError(f"--spec {args.spec}: {exc}") from exc
     out_dir = Path(args.out) if args.out else Path("out") / f"{scn.name}-sweep"
-    rows = sweep(scn, spec, out_dir=out_dir, replan=args.replan)
+    rows = sweep(scn, spec, out_dir=out_dir)
     print(f"swept {len(rows)} points -> {out_dir / 'sweep.csv'}")
     return EXIT_OK
 
@@ -164,8 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--spec", required=True, help="sweep spec JSON file")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--replan", action="store_true",
-                   help="replan per risk point instead of re-voting on a cached front")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("sdf-dump", help="export the distance-field grid for debugging")

@@ -26,6 +26,15 @@ same per-axis coordinates the whole grid would use, and ``contains`` judges
 each point on its own, so the occupancy grid, and with it the distance
 field, has the same bytes as a test of every centre against every
 primitive.
+
+``build_sdf`` asks scipy only for the feature transform (the index of each
+voxel's nearest occupied voxel) and turns it into distances one axis at a
+time, in place: the index plane minus the voxel's own coordinate, times the
+resolution as float64, squared and added into one buffer in axis order 0,
+1, 2, then one square root. Those are the operations, in the order,
+``ndimage.distance_transform_edt`` applies to the same indices, so the
+field keeps scipy's bytes while the build holds about 29 traced bytes per
+voxel instead of about 50 (scipy's index grid and (3, ...) float64 copy).
 """
 
 from __future__ import annotations
@@ -356,19 +365,40 @@ def build_sdf(
     """Rasterize primitives and compute the exact Euclidean distance
     transform of free space to occupied voxel centers.
 
+    scipy's feature transform gives each voxel the index of its nearest
+    occupied voxel, one int32 plane per axis; the distance is built from
+    those planes one axis at a time, in one float64 buffer. Each step is
+    the one ``ndimage.distance_transform_edt`` takes (index minus own
+    coordinate, times ``resolution`` as float64, squared, summed in axis
+    order 0, 1, 2, square root), so the field has scipy's bytes without
+    its full index grid and (3, ...) float64 copy.
+
     With no obstacles every cell holds a sentinel larger than the domain
     diagonal, so queries read as "infinitely far".
     """
     occupied, dims = rasterize(obstacles, domain, resolution, max_voxels)
-    if occupied.any():
-        distance = ndimage.distance_transform_edt(~occupied, sampling=resolution)
-    else:
+    if not occupied.any():
         distance = np.full(dims, 2.0 * domain.diagonal + resolution)
+    else:
+        nearest = ndimage.distance_transform_edt(
+            ~occupied, sampling=resolution, return_distances=False, return_indices=True
+        )
+        distance = np.zeros(dims)
+        step = np.empty(dims)
+        for axis, n in enumerate(dims):
+            shape = [1, 1, 1]
+            shape[axis] = n
+            plane = nearest[axis]
+            plane -= np.arange(n, dtype=plane.dtype).reshape(shape)
+            np.multiply(plane, resolution, out=step, dtype=np.float64)
+            step *= step
+            distance += step
+        np.sqrt(distance, out=distance)
     return SignedDistanceField(
         origin=domain.min_corner.copy(),
         resolution=float(resolution),
         dims=dims,
-        distance=np.ascontiguousarray(distance, dtype=float),
+        distance=distance,
     )
 
 

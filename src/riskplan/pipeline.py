@@ -339,13 +339,12 @@ def sweep(
     scn: Scenario,
     sweep_spec: dict,
     out_dir: Optional[Path] = None,
-    replan: bool = False,
 ) -> list[dict]:
     """Vote-coefficient or single-risk-axis sweep.
 
-    Risk sweeps re-vote on one cached Pareto front (risks only enter at
-    voting); ``replan`` forces a full replan per grid point instead. The
-    spec is validated before anything is planned.
+    Every grid point re-votes on one Pareto front planned once: risks and
+    coefficients enter only the vote, never the optimiser. The spec is
+    validated before anything is planned.
     """
     if not isinstance(sweep_spec, dict):
         raise ValidationError(
@@ -368,30 +367,24 @@ def sweep(
         # keeps the last point from passing stop by the same rounding.
         n_points = int(np.floor((stop - start) / step + SWEEP_COUNT_TOL)) + 1
         values = [min(start + i * step, stop) for i in range(n_points)]
-        # Each point: (row head, risks to replan with, vote weights).
+        # Each point: (row head, vote weights).
         points = [
-            ({"axis": axis, "value": getattr(risks, axis)}, risks, adjust_coefficients(risks))
+            ({"axis": axis, "value": getattr(risks, axis)}, adjust_coefficients(risks))
             for risks in (replace(scn.risks, **{axis: value}) for value in values)
         ]
     else:
-        if replan:
-            raise ValidationError("sweep: replan applies to risk sweeps only")
         points = [
-            ({}, None, VoteWeights(*k, *k, gamma=1.0))  # baselines equal the coefficients
+            ({}, VoteWeights(*k, *k, gamma=1.0))  # baselines equal the coefficients
             for k in _simplex_grid(_spec_number(sweep_spec, "spacing", 0.1))
         ]
 
     env = build_scenario_environment(scn)
     power_model = fit_quadric(load_power_samples(scn.power_calibration))
-    base = None if replan else plan(scn, env=env, power_model=power_model)
+    front = plan(scn, env=env, power_model=power_model).front
 
     rows = []
-    for head, risks, weights in points:
-        if replan:
-            point = plan(replace(scn, risks=risks), env=env, power_model=power_model)
-            front, index = point.front, point.selected_index
-        else:
-            front, index = base.front, vote(base.front, weights)
+    for head, weights in points:
+        index = vote(front, weights)
         rows.append({
             **head, "k_time": weights.k_time, "k_safety": weights.k_safety,
             "k_energy": weights.k_energy, "selected_index": index,

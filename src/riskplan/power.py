@@ -185,5 +185,8 @@ def load_power_samples(path) -> list[PowerSample]:
             norm = np.linalg.norm(vec)
             if norm == 0:
                 raise ValidationError(f"{path}:{lineno}: zero direction vector")
-            samples.append(PowerSample(direction=vec / norm, power=power))
+            try:
+                samples.append(PowerSample(direction=vec / norm, power=power))
+            except ValidationError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     return samples

@@ -273,11 +273,6 @@ class TestSweepCommand:
         assert main(["sweep", str(scenario_file), "--spec", str(spec)]) == 2
         assert "validation error" in capsys.readouterr().err
 
-    def test_replan_on_coefficient_sweep_rejected(self, scenario_file, tmp_path, no_planning):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"kind": "coefficients", "spacing": 0.5}))
-        assert main(["sweep", str(scenario_file), "--spec", str(spec), "--replan"]) == 2
-
     def test_missing_spec_exit_code(self, scenario_file, tmp_path, no_planning):
         assert main(["sweep", str(scenario_file), "--spec", str(tmp_path / "none.json")]) == 2
 

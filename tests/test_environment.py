@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from riskplan.environment import (
     BoxObstacle,
@@ -141,6 +143,88 @@ class TestBuildSdf:
         want_sq = np.round((oracle.reshape(-1) / resolution) ** 2).astype(int)
         assert np.array_equal(got_sq, want_sq)
         assert np.allclose(got, oracle.reshape(-1), atol=1e-9)
+
+
+class TestFieldBytes:
+    """``build_sdf`` turns scipy's feature transform into distances one axis
+    at a time; the field must be scipy's distance transform byte for byte,
+    built in a fraction of scipy's memory."""
+
+    @staticmethod
+    def world(rng, resolution, thin_axis=None):
+        extent = rng.uniform(2.0, 9.0, 3)
+        if thin_axis is not None:
+            extent[thin_axis] = rng.uniform(0.2, 0.9) * resolution
+        domain = DomainBox(min_corner=[0, 0, 0], max_corner=extent, v_max=1.0)
+        # A box reaching one voxel either side of a point in the domain
+        # holds a voxel centre, so the grid is never empty.
+        lo = rng.uniform(0, extent)
+        obstacles = [BoxObstacle(min_corner=lo - resolution, max_corner=lo + resolution)]
+        obstacles += [
+            SphereObstacle(center=rng.uniform(0, extent), radius=rng.uniform(0.2, 1.5))
+            for _ in range(rng.integers(1, 5))
+        ]
+        return domain, obstacles
+
+    @staticmethod
+    def assert_scipy_bytes(obstacles, domain, resolution):
+        occupied, _ = rasterize(obstacles, domain, resolution, 10**7)
+        want = ndimage.distance_transform_edt(~occupied, sampling=resolution)
+        got = build_sdf(obstacles, domain, resolution).distance
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        return occupied
+
+    @pytest.mark.parametrize("resolution", [0.5, 0.3, 0.37, 1.1])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_worlds_match_scipy(self, resolution, seed):
+        rng = np.random.default_rng(seed)
+        domain, obstacles = self.world(rng, resolution)
+        occupied = self.assert_scipy_bytes(obstacles, domain, resolution)
+        assert occupied.any() and not occupied.all()
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("resolution", [0.5, 0.37, 1.1])
+    def test_one_voxel_axis_matches_scipy(self, axis, resolution):
+        rng = np.random.default_rng(10 + axis)
+        domain, obstacles = self.world(rng, resolution, thin_axis=axis)
+        occupied = self.assert_scipy_bytes(obstacles, domain, resolution)
+        assert occupied.shape[axis] == 1 and occupied.any()
+
+    @pytest.mark.parametrize("resolution", [0.5, 0.3])
+    def test_fully_occupied_grid_matches_scipy(self, resolution):
+        domain = DomainBox(min_corner=[0, 0, 0], max_corner=[3, 2, 1.5], v_max=1.0)
+        box = BoxObstacle(min_corner=[-1, -1, -1], max_corner=[4, 3, 2.5])
+        occupied = self.assert_scipy_bytes([box], domain, resolution)
+        assert occupied.all()
+
+    def test_build_peak_memory_per_voxel(self):
+        # scipy's own distances hold about 50 traced bytes per voxel (its
+        # index grid and a (3, ...) float64 copy); the per-axis build about 29.
+        rng = np.random.default_rng(7)
+        domain = DomainBox(min_corner=[0, 0, 0], max_corner=[60, 40, 16], v_max=1.0)
+        obstacles = [
+            BoxObstacle(min_corner=(lo := rng.uniform([0, 0, 0], [55, 35, 10])),
+                        max_corner=lo + rng.uniform(1.0, 5.0, 3))
+            for _ in range(20)
+        ] + [
+            SphereObstacle(center=rng.uniform([0, 0, 0], [60, 40, 16]), radius=rng.uniform(0.5, 2.0))
+            for _ in range(10)
+        ]
+        build_sdf(obstacles, domain, 0.5)  # first call outside the trace
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            sdf = build_sdf(obstacles, domain, 0.5)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert sdf.dims == (120, 80, 32)
+        assert peak / sdf.distance.size < 36
 
 
 def reference_rasterize(obstacles, domain: DomainBox, resolution: float) -> np.ndarray:

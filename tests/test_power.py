@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import warnings
 
 import numpy as np
@@ -344,4 +345,12 @@ class TestCsvLoading:
         path = tmp_path / "cal.csv"
         path.write_text(f"vx,vy,vz,power_w\n1,0,0,600\n{row}\n0,0,1,800\n")
         with pytest.raises(ValidationError, match=f"cal.csv:3: .*must be finite, got {row}"):
+            load_power_samples(path)
+
+    @pytest.mark.parametrize("power", ["-5", "0", "-0.0"])
+    def test_non_positive_power_reports_line(self, tmp_path, power):
+        path = tmp_path / "cal.csv"
+        path.write_text(f"vx,vy,vz,power_w\n1,0,0,600\n0,1,0,{power}\n0,0,1,800\n")
+        message = f"cal.csv:3: power must be > 0, got {float(power)}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
             load_power_samples(path)

@@ -1,17 +1,20 @@
 """Print the sha256 of the distance fields and result files of a fixed set of runs.
 
 A refactor that must keep every result byte the same is checked by running
-this script on two checkouts and diffing the output:
+this script on two checkouts and comparing the output, in one command:
 
-    python3 tools/golden.py /path/to/parent-checkout > before.txt
-    python3 tools/golden.py > after.txt
-    diff before.txt after.txt
+    python3 tools/golden.py --against /path/to/parent-checkout
 
-The optional argument is the checkout whose ``src/``, ``scenarios/``,
-``perfbench/city.py`` and ``perfbench/seed_failure_city.json`` are used
-(default: the one holding this script), so the script also runs against a
-commit that predates it; it reads only public names. BLAS and OpenMP are
-pinned to one thread before numpy loads.
+runs the script on the parent checkout in a subprocess, then on this one,
+prints the lines that differ and exits 1 on any difference (0 when every
+line matches, 2 when a run fails).
+
+The optional positional argument is the checkout whose ``src/``,
+``scenarios/``, ``perfbench/city.py`` and ``perfbench/seed_failure_city.json``
+are used (default: the one holding this script), so the script also runs
+against a commit that predates it; it reads only public names, and both
+sides of ``--against`` run this copy of the script, so they print the same
+labels. BLAS and OpenMP are pinned to one thread before numpy loads.
 
 The set:
 - the distance field ``env.sdf.distance`` (its bytes, with its dims) of the
@@ -25,8 +28,8 @@ The set:
   cost's cull box, on world 9 about 20%, so both the skipped and the
   computed branch of ``costs._hull_cost_batch`` are covered;
 - the corridor with 100 generations, seeds 7 and 8: ``sweep.csv`` of the
-  ``coefficients`` sweep at spacing 0.02 and of the ``replan`` wind sweep
-  at step 0.25;
+  ``coefficients`` sweep at spacing 0.02 and of the ``wind`` risk sweep at
+  step 0.25 (both re-vote on one planned front);
 - the cost and the violation bytes of ``moo.evaluate_batch`` on a fixed,
   seeded population of 200 rows on the corridor and on city world 9. The
   plans rarely reach the edge branches of scoring, so the population
@@ -39,9 +42,11 @@ The set:
 from __future__ import annotations
 
 import argparse
+import difflib
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from dataclasses import replace
@@ -60,8 +65,8 @@ EDGE_ROWS = 200
 EDGE_INTERIOR = 5
 EDGE_WORLDS = ("corridor", "city-9")
 SWEEPS = {
-    "coefficients": ({"kind": "coefficients", "spacing": 0.02}, False),
-    "replan-wind": ({"kind": "risk", "axis": "wind", "step": 0.25}, True),
+    "coefficients": {"kind": "coefficients", "spacing": 0.02},
+    "wind": {"kind": "risk", "axis": "wind", "step": 0.25},
 }
 
 
@@ -97,13 +102,45 @@ def _edge_population(rng, lower, upper, start):
     return pop
 
 
+def compare(parent: Path, root: Path) -> int:
+    """Run this script on ``parent``, then on ``root``, each in a fresh
+    interpreter, and print the lines that differ; 0 when none does, 1
+    otherwise, 2 when a run fails."""
+    outputs = []
+    for checkout in (parent, root):
+        proc = subprocess.run(
+            [sys.executable, str(Path(__file__).resolve()), str(checkout)],
+            stdout=subprocess.PIPE, text=True,
+        )
+        if proc.returncode != 0:
+            print(f"golden run on {checkout} exited {proc.returncode}", file=sys.stderr)
+            return 2
+        outputs.append(proc.stdout.splitlines())
+    before, after = outputs
+    diff = list(difflib.unified_diff(
+        before, after, fromfile=str(parent), tofile=str(root), lineterm="", n=0
+    ))
+    if diff:
+        print("\n".join(diff))
+        return 1
+    print(f"{len(after)} lines identical")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "root", nargs="?", default=str(Path(__file__).resolve().parents[1]),
         help="checkout to run (default: this script's repository)",
     )
-    root = Path(parser.parse_args(argv).root).resolve()
+    parser.add_argument(
+        "--against", metavar="PARENT",
+        help="also run on checkout PARENT, print the lines that differ, exit 1 on any",
+    )
+    args = parser.parse_args(argv)
+    root = Path(args.root).resolve()
+    if args.against:
+        return compare(Path(args.against).resolve(), root)
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 
     import city
@@ -165,10 +202,10 @@ def main(argv=None) -> int:
             plan(scn, out_dir=out / label)
             for name in PLAN_FILES:
                 print(f"{_digest(out / label / name)}  {label}/{name}", flush=True)
-        for label, (spec, replan) in SWEEPS.items():
+        for label, spec in SWEEPS.items():
             for seed in SEEDS:
                 run = f"sweep-{label}-{seed}"
-                sweep(replace(short, rng_seed=seed), spec, out_dir=out / run, replan=replan)
+                sweep(replace(short, rng_seed=seed), spec, out_dir=out / run)
                 print(f"{_digest(out / run / 'sweep.csv')}  {run}/sweep.csv", flush=True)
     return 0
 
