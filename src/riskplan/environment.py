@@ -194,7 +194,7 @@ class OrientedHull:
         rot = np.asarray(self.rotation, dtype=float)
         if rot.shape != (3, 3):
             raise ValidationError("hull rotation must be a 3x3 matrix")
-        if not np.allclose(rot.T @ rot, np.eye(3), rtol=0.0, atol=1e-9):
+        if not (np.abs(rot.T @ rot - np.eye(3)) <= 1e-9).all():  # False on NaN
             raise ValidationError("hull rotation must be orthonormal within 1e-9")
         object.__setattr__(self, "rotation", rot)
         if not np.all(self.half_extents > 0):

@@ -462,6 +462,9 @@ def _mutation_batch(
 
 @dataclass(frozen=True)
 class GenerationStats:
+    """One generation's numbers, as sent to ``progress_sink``: a message the
+    sink reads and drops (``pipeline.GenerationLog`` keeps them in columns)."""
+
     generation: int
     front_size: int
     best: tuple
@@ -521,6 +524,10 @@ def nsga2_minimize(
     with one row per decision that selection carries along unread.
     Returns the final population followed by its rows of everything
     ``batch_evaluate`` returned: (pop, objectives, violation, *extras).
+
+    ``progress_sink``, when given, is called once per generation, in order
+    1..n_gen, with a fresh ``GenerationStats``; the loop keeps no reference
+    to it, so a sink that wants a log copies the numbers out.
     """
     pop = np.clip(np.asarray(initial, dtype=float), lower, upper)
     if len(pop) != params.n_pop:

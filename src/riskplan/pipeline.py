@@ -22,6 +22,7 @@ from .errors import FitError, PlanningFailureError, ValidationError
 from .moo import (
     EvaluatedIndividual,
     EvaluationContext,
+    GenerationStats,
     MooParams,
     decode,
     interior_count,
@@ -46,14 +47,43 @@ SWEEP_COUNT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
+class GenerationLog:
+    """The optimiser's per-generation log in columns; row g - 1 holds
+    generation g.
+
+    ``front_size`` is (n_gen,) int64: the feasible members of the first
+    front. ``best`` is (n_gen, 3) float64: the lowest feasible time, safety
+    and energy, nan where no member is feasible.
+    """
+
+    front_size: np.ndarray
+    best: np.ndarray
+
+    @classmethod
+    def allocate(cls, n_gen: int) -> GenerationLog:
+        return cls(front_size=np.empty(n_gen, dtype=np.int64), best=np.empty((n_gen, 3)))
+
+    def record(self, stats: GenerationStats) -> None:
+        """``progress_sink`` for ``run_nsga2``: copy one generation's
+        numbers into its row; the message itself is not kept."""
+        row = stats.generation - 1
+        self.front_size[row] = stats.front_size
+        self.best[row] = stats.best
+
+
+@dataclass(frozen=True)
 class PlanResult:
+    """One plan: the deduplicated feasible front, the voted member and its
+    emitted samples, and the optimiser's ``GenerationLog``: two columns of
+    ``n_gen`` rows, front sizes (int64) and best costs (float64, (n_gen, 3))."""
+
     front: list
     selected_index: int
     weights: VoteWeights
     samples: TrajectorySamples
     sample_times: np.ndarray
     sample_powers: np.ndarray
-    generation_log: list
+    generation_log: GenerationLog
     metadata: dict
     context: EvaluationContext
 
@@ -153,8 +183,8 @@ def plan(
     timings["seeding_s"] = time_mod.perf_counter() - t2
 
     t3 = time_mod.perf_counter()
-    generation_log = []
-    front = run_nsga2(ctx, population, moo_params, progress_sink=generation_log.append)
+    generation_log = GenerationLog.allocate(moo_params.n_gen)
+    front = run_nsga2(ctx, population, moo_params, progress_sink=generation_log.record)
     timings["optimization_s"] = time_mod.perf_counter() - t3
     if not front:
         raise PlanningFailureError("optimization returned no feasible trajectory")
@@ -228,7 +258,10 @@ def write_result(result: PlanResult, scn: Scenario, out_dir: Path) -> dict:
     """Emit pareto.json, trajectory.csv, generations.csv, metadata.json.
 
     Returns the paths written. Every emitted trajectory sample set is
-    re-checked against the hard constraints.
+    re-checked against the hard constraints. generations.csv has one line
+    per row of the ``GenerationLog`` columns; its cells are formatted from
+    the Python ints and floats of ``.tolist()`` (``nan`` where a generation
+    had no feasible member).
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     h = scn.hyper
@@ -255,9 +288,10 @@ def write_result(result: PlanResult, scn: Scenario, out_dir: Path) -> dict:
     gen_path = out_dir / "generations.csv"
     with gen_path.open("w") as fh:
         fh.write("gen,front_size,best_time,best_safety,best_energy\n")
-        for stats in result.generation_log:
-            best = ",".join(f"{v:.10g}" for v in stats.best)
-            fh.write(f"{stats.generation},{stats.front_size},{best}\n")
+        log = result.generation_log
+        rows = zip(log.front_size.tolist(), log.best.tolist())
+        for gen, (front_size, (t, s, e)) in enumerate(rows, start=1):
+            fh.write(f"{gen},{front_size},{t:.10g},{s:.10g},{e:.10g}\n")
 
     meta_path = out_dir / "metadata.json"
     meta = dict(result.metadata)

@@ -85,11 +85,10 @@ def fit_quadric(samples) -> PowerQuadricModel:
     dirs = np.array([s.direction for s in samples])
     powers = np.array([s.power for s in samples])
 
-    duplicates = False
-    for i in range(len(samples)):
-        for j in range(i + 1, len(samples)):
-            if np.allclose(dirs[i], dirs[j], atol=1e-9) and powers[i] != powers[j]:
-                duplicates = True
+    # Every pair i < j at once, by np.allclose's rule (atol 1e-9, rtol 1e-5).
+    i, j = np.triu_indices(len(samples), k=1)
+    same_direction = (np.abs(dirs[i] - dirs[j]) <= 1e-9 + 1e-5 * np.abs(dirs[j])).all(axis=-1)
+    duplicates = bool(np.any(same_direction & (powers[i] != powers[j])))
     if duplicates:
         warnings.warn(
             "duplicate directions with conflicting powers; fitting by least squares",

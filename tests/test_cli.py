@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import riskplan.cli as cli_mod
 import riskplan.pipeline as pipeline_mod
 from conftest import corridor_scenario_dict, write_power_csv
 from riskplan.cli import main
@@ -12,12 +13,18 @@ from riskplan.cli import main
 
 @pytest.fixture
 def no_planning(monkeypatch):
-    """Fails the test if anything gets planned."""
+    """Fails the test if anything gets planned, built or fitted."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("planned before the input was validated")
 
-    monkeypatch.setattr(pipeline_mod, "plan", refuse)
+    # ``cli`` binds ``plan`` and ``fit_power_report`` at import; ``sweep``
+    # and ``sdf-dump`` reach the pipeline module's names.
+    for module, name in (
+        (pipeline_mod, "plan"), (cli_mod, "plan"), (cli_mod, "fit_power_report"),
+        (pipeline_mod, "build_scenario_environment"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
 
 
 @pytest.fixture
@@ -146,6 +153,50 @@ def member_entry(time_s) -> dict:
         "costs": {"time_s": time_s, "safety": 0.1, "energy_j": 100.0},
         "constraints": {"max_accel_violation": 0.0, "collision_violation": 0.0, "feasible": True},
     }
+
+
+class TestUnusableOutput:
+    """An output location that cannot be used is a validation error (exit
+    2) naming the path, reported before anything is planned."""
+
+    @pytest.fixture
+    def blocker(self, tmp_path):
+        path = tmp_path / "taken"
+        path.write_text("a file, not a directory\n")
+        return path
+
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["file", "under-file"])
+    def test_plan(self, scenario_file, blocker, no_planning, capsys, out):
+        out = blocker.parent / out
+        assert main(["plan", str(scenario_file), "--out", str(out)]) == 2
+        assert f"validation error: output directory {out}: " in capsys.readouterr().err
+
+    def test_sweep(self, scenario_file, blocker, no_planning, capsys):
+        spec = blocker.parent / "spec.json"
+        spec.write_text(json.dumps({"kind": "risk", "axis": "wind", "step": 0.5}))
+        assert main(["sweep", str(scenario_file), "--spec", str(spec), "--out", str(blocker)]) == 2
+        assert f"output directory {blocker}: " in capsys.readouterr().err
+
+    def test_fit_power(self, blocker, no_planning, capsys):
+        csv = write_power_csv(blocker.parent / "cal.csv")
+        assert main(["fit-power", str(csv), "--out", str(blocker)]) == 2
+        assert f"output directory {blocker}: " in capsys.readouterr().err
+
+    def test_sdf_dump_under_file(self, scenario_file, blocker, no_planning, capsys):
+        out = blocker / "grid.npz"
+        assert main(["sdf-dump", str(scenario_file), "--out", str(out)]) == 2
+        assert f"output directory {blocker}: " in capsys.readouterr().err
+
+    def test_sdf_dump_onto_directory(self, scenario_file, tmp_path, no_planning, capsys):
+        out = tmp_path / "grid.npz"
+        out.mkdir()
+        assert main(["sdf-dump", str(scenario_file), "--out", str(out)]) == 2
+        assert f"output file {out}: is a directory" in capsys.readouterr().err
+
+    def test_sdf_dump_creates_missing_directory(self, scenario_file, tmp_path):
+        out = tmp_path / "missing" / "deeper" / "grid.npz"
+        assert main(["sdf-dump", str(scenario_file), "--out", str(out)]) == 0
+        assert np.load(out)["distance"].ndim == 3
 
 
 class TestVoteCommand:

@@ -464,6 +464,33 @@ class TestOrientedHull:
         with pytest.raises(ValidationError):
             OrientedHull(center=[0, 0, 0], half_extents=[1, 1, 1], rotation=np.ones((3, 3)))
 
+    def test_rotation_check_matches_allclose(self):
+        # Reference: np.allclose(R^T R, I, rtol=0, atol=1e-9), on rotations
+        # perturbed across the tolerance, scaled ones, and NaN or inf entries.
+        rng = np.random.default_rng(5)
+        cases = []
+        for _ in range(40):
+            rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            cases.append(rot + rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-12, -8))
+        cases += [np.eye(3) * 1.01, np.zeros((3, 3)), np.ones((3, 3))]
+        for bad in (np.nan, np.inf, -np.inf):
+            rot = np.eye(3)
+            rot[1, 2] = bad
+            cases.append(rot)
+        outcomes = set()
+        for rot in cases:
+            with np.errstate(invalid="ignore"):
+                expected = np.allclose(rot.T @ rot, np.eye(3), rtol=0.0, atol=1e-9)
+            try:
+                with np.errstate(invalid="ignore"):
+                    OrientedHull(center=[0, 0, 0], half_extents=[1, 1, 1], rotation=rot)
+                accepted = True
+            except ValidationError:
+                accepted = False
+            assert accepted == expected
+            outcomes.add(accepted)
+        assert outcomes == {True, False}
+
     def test_rotation_tolerance_is_absolute(self):
         # R^T R is 8e-6 off the identity: inside numpy's default relative
         # tolerance of 1e-5, far outside the 1e-9 the check promises.

@@ -429,8 +429,7 @@ class TestRunNsga2:
 
     def test_elitism_per_objective(self, corridor_run):
         _, result = corridor_run
-        log = result.generation_log
-        best = np.array([stats.best for stats in log])
+        best = result.generation_log.best
         assert np.all(np.diff(best, axis=0) <= 1e-12)
 
     def test_straight_seed_in_empty_world_feasible(self, tmp_path):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,16 +10,19 @@ import pytest
 
 from conftest import make_corridor_scenario, write_power_csv
 from riskplan.costs import check_constraints
+import riskplan.pipeline as pipeline_mod
 from riskplan.errors import FitError, ValidationError
-from riskplan.moo import _decode_batch, decode, evaluate
+from riskplan.moo import GenerationStats, _decode_batch, decode, evaluate
 from riskplan.nurbs import sample_uniform
 from riskplan.pipeline import (
+    GenerationLog,
     build_scenario_environment,
     fit_power_report,
     load_front,
     plan,
     sweep,
     trajectory_metrics,
+    write_result,
 )
 from riskplan.power import PowerQuadricModel, power_for_directions
 from riskplan.voting import RiskState, adjust_coefficients, vote
@@ -112,10 +117,86 @@ class TestPlanOutputs:
         assert "timings" in meta
 
     def test_generation_log_matches_interface(self, planned):
-        _, _, out = planned
+        scn, result, out = planned
         lines = (out / "generations.csv").read_text().strip().splitlines()
         assert lines[0] == "gen,front_size,best_time,best_safety,best_energy"
-        assert len(lines) >= 2
+        assert len(lines) == 1 + scn.hyper.n_gen
+        log = result.generation_log
+        assert log.front_size.dtype == np.int64
+        assert log.front_size.shape == (scn.hyper.n_gen,)
+        assert log.best.dtype == np.float64
+        assert log.best.shape == (scn.hyper.n_gen, 3)
+
+
+def object_writer_bytes(stats_log) -> bytes:
+    """Reference: generations.csv as written from one GenerationStats per
+    generation, before the log was kept in columns."""
+    lines = ["gen,front_size,best_time,best_safety,best_energy\n"]
+    for stats in stats_log:
+        best = ",".join(f"{v:.10g}" for v in stats.best)
+        lines.append(f"{stats.generation},{stats.front_size},{best}\n")
+    return "".join(lines).encode()
+
+
+class TestGenerationLog:
+    def test_csv_bytes_match_object_writer(self, tmp_path, monkeypatch):
+        # Tee every GenerationStats the optimiser sends into a list, then
+        # compare the columns' file with the per-object writer's bytes.
+        stats_log = []
+        run_nsga2 = pipeline_mod.run_nsga2
+
+        def teed(ctx, population, params, progress_sink):
+            def sink(stats):
+                stats_log.append(stats)
+                progress_sink(stats)
+
+            return run_nsga2(ctx, population, params, progress_sink=sink)
+
+        monkeypatch.setattr(pipeline_mod, "run_nsga2", teed)
+        scn = make_corridor_scenario(tmp_path, n_gen=60)
+        plan(scn, out_dir=tmp_path / "out")
+        assert [stats.generation for stats in stats_log] == list(range(1, 61))
+        written = (tmp_path / "out" / "generations.csv").read_bytes()
+        assert written == object_writer_bytes(stats_log)
+
+    def test_empty_fronts_and_nan_rows_match_object_writer(self, planned, tmp_path):
+        nan = float("nan")
+        stats_log = [
+            GenerationStats(generation=1, front_size=0, best=(nan, nan, nan)),
+            GenerationStats(generation=2, front_size=3, best=(12.5, 0.0, 1e-300)),
+            GenerationStats(generation=3, front_size=0, best=(nan, nan, nan)),
+            GenerationStats(generation=4, front_size=40, best=(1234567.891234567, 5e-324, 2.0**60)),
+            GenerationStats(generation=5, front_size=1, best=(0.1 + 0.2, 1 / 3, 9.999999999e-5)),
+        ]
+        log = GenerationLog.allocate(len(stats_log))
+        for stats in stats_log:
+            log.record(stats)
+        scn, result, _ = planned
+        paths = write_result(replace(result, generation_log=log), scn, tmp_path)
+        assert paths["generations"].read_bytes() == object_writer_bytes(stats_log)
+
+    def test_retained_log_costs_at_most_48_bytes_per_generation(self, tmp_path):
+        # Two columns cost 8 + 24 bytes a generation plus fixed headers;
+        # one object per generation cost about 265. Measured as what a
+        # plan's result frees when only its log is dropped.
+        n_gen = 200
+        scn = make_corridor_scenario(tmp_path, n_gen=n_gen)
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            result = plan(scn)
+            kept = replace(result, generation_log=None)  # shares every other field
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            del result
+            gc.collect()
+            freed = before - tracemalloc.get_traced_memory()[0]
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert kept.front
+        assert freed / n_gen <= 48
 
 
 class TestRiskEffect:

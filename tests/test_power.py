@@ -90,6 +90,41 @@ class TestFitQuadric:
         with pytest.warns(UserWarning, match="duplicate"):
             fit_quadric(samples)
 
+    @staticmethod
+    def loop_duplicates(samples) -> bool:
+        """Reference: the pairwise np.allclose loop the fit used to run."""
+        return any(
+            np.allclose(a.direction, b.direction, atol=1e-9) and a.power != b.power
+            for k, a in enumerate(samples)
+            for b in samples[k + 1:]
+        )
+
+    def test_duplicate_check_matches_pairwise_allclose(self):
+        # Near-copies rotated by 1e-7..1e-4 rad straddle allclose's
+        # 1e-9 + 1e-5 * |d| tolerance; powers conflict or agree at random.
+        rng = np.random.default_rng(11)
+        seen = set()
+        for _ in range(60):
+            dirs = list(random_unit_vectors(rng, 4))
+            for d in dirs[:3]:
+                axis = np.cross(d, random_unit_vectors(rng, 1)[0])
+                axis /= np.linalg.norm(axis)
+                theta = 10.0 ** rng.uniform(-7, -4)
+                near = d * np.cos(theta) + np.cross(axis, d) * np.sin(theta)
+                dirs.append(near / np.linalg.norm(near))
+            powers = rng.choice([600.0, 650.0], len(dirs))
+            samples = axis_samples() + [
+                PowerSample(direction=d, power=p) for d, p in zip(dirs, powers)
+            ]
+            expected = self.loop_duplicates(samples)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fit_quadric(samples)
+            warned = any("duplicate" in str(w.message) for w in caught)
+            assert warned == expected
+            seen.add(expected)
+        assert seen == {True, False}
+
 
 class TestPowerForDirection:
     def test_symmetric_model_uniform_power(self):

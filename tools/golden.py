@@ -20,7 +20,10 @@ The set:
 - the distance field ``env.sdf.distance`` (its bytes, with its dims) of the
   corridor, the ``perfbench/city.py`` worlds 7, 8 and 9 and the world in
   ``perfbench/seed_failure_city.json``, so a field change shows at its
-  source and not only through the plans;
+  source and not only through the plans. These are all at resolution 0.5,
+  where every sum of squared axis distances is exact, so the corridor and
+  city world 7 fields are also taken at 0.37, where a change in summation
+  order shows;
 - ``scenarios/corridor.json`` at rng seeds 7 and 8 (its 1000 generations):
   ``pareto.json``, ``trajectory.csv``, ``generations.csv``;
 - the ``perfbench/city.py`` worlds 7, 8 and 9: the same three files. On
@@ -60,6 +63,8 @@ import numpy as np  # noqa: E402  (after the thread pins)
 PLAN_FILES = ("pareto.json", "trajectory.csv", "generations.csv")
 SEEDS = (7, 8)
 CITY_WORLDS = (7, 8, 9)
+FINE_RESOLUTION = 0.37  # not dyadic: squared distances round
+FINE_FIELDS = ("corridor", "city-7")
 SWEEP_N_GEN = 100
 EDGE_ROWS = 200
 EDGE_INTERIOR = 5
@@ -167,6 +172,8 @@ def main(argv=None) -> int:
         "corridor": corridor, **cities,
         "seed-failure-city": scenario_from_dict(failure, base_dir=scenarios),
     }
+    for label in FINE_FIELDS:
+        fields[f"{label}@{FINE_RESOLUTION}"] = replace(fields[label], resolution=FINE_RESOLUTION)
     envs = {}
     for label, scn in fields.items():
         envs[label] = build_environment(
