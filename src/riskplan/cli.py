@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapacityError, FitError, PlanningFailureError, ValidationError
-from .pipeline import fit_power_report, load_front, plan, sweep
+from .pipeline import fit_power_report, load_front, output_dir, plan, sweep, vote_weights_dict
 from .scenario import load_scenario
 from .voting import RiskState, adjust_coefficients, vote
 
@@ -36,17 +36,6 @@ def _parse_risks(text: str) -> RiskState:
     return RiskState(wind=wind, communication=comm, localization=loc, battery=batt)
 
 
-def _output_dir(path: Path) -> Path:
-    """Create the output directory ``path`` before any work, so that an
-    unusable location (a file in the way, no permission) is reported as a
-    ValidationError naming it rather than after a whole plan."""
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValidationError(f"output directory {path}: {exc.strerror or exc}") from exc
-    return path
-
-
 def _cmd_plan(args) -> int:
     scn = load_scenario(args.scenario)
     if args.seed is not None:
@@ -55,7 +44,7 @@ def _cmd_plan(args) -> int:
         scn = replace(scn, rng_seed=args.seed)
     if args.risks is not None:
         scn = replace(scn, risks=_parse_risks(args.risks))
-    out_dir = _output_dir(Path(args.out) if args.out else Path("out") / scn.name)
+    out_dir = output_dir(Path(args.out) if args.out else Path("out") / scn.name)
     result = plan(scn, out_dir=out_dir)
     selected = result.front[result.selected_index]
     print(
@@ -77,11 +66,7 @@ def _cmd_vote(args) -> int:
     index = vote(front, weights)
     payload = {
         "selected_index": index,
-        "vote_weights": {
-            "k_time": weights.k_time,
-            "k_safety": weights.k_safety,
-            "k_energy": weights.k_energy,
-        },
+        "vote_weights": vote_weights_dict(weights),
         "costs": asdict(front[index].costs),
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -89,7 +74,7 @@ def _cmd_vote(args) -> int:
 
 
 def _cmd_fit_power(args) -> int:
-    out_dir = _output_dir(Path(args.out) if args.out else Path("."))
+    out_dir = output_dir(Path(args.out) if args.out else Path("."))
     model, report = fit_power_report(args.data, holdout_fraction=args.holdout)
     model_path = out_dir / "power_model.json"
     model_path.write_text(
@@ -121,7 +106,7 @@ def _cmd_sweep(args) -> int:
         spec = json.loads(Path(args.spec).read_text())
     except (OSError, ValueError) as exc:
         raise ValidationError(f"--spec {args.spec}: {exc}") from exc
-    out_dir = _output_dir(Path(args.out) if args.out else Path("out") / f"{scn.name}-sweep")
+    out_dir = Path(args.out) if args.out else Path("out") / f"{scn.name}-sweep"
     rows = sweep(scn, spec, out_dir=out_dir)
     print(f"swept {len(rows)} points -> {out_dir / 'sweep.csv'}")
     return EXIT_OK
@@ -132,7 +117,7 @@ def _cmd_sdf_dump(args) -> int:
 
     scn = load_scenario(args.scenario)
     out = Path(args.out) if args.out else Path(f"{scn.name}-sdf.npz")
-    _output_dir(out.parent)
+    output_dir(out.parent)
     if out.is_dir():
         raise ValidationError(f"output file {out}: is a directory")
     env = build_scenario_environment(scn)

@@ -43,7 +43,3 @@ class FitError(PlannerError):
 
 class PlanningFailureError(PlannerError):
     """No feasible trajectory could be produced."""
-
-
-class DegenerateRiskError(PlannerError):
-    """All objective weights collapsed to zero; ranking is undefined."""

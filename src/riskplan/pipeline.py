@@ -4,6 +4,15 @@ optimization, voting, and machine-readable result emission.
 Result files are pure functions of (scenario, rng_seed); wall-clock timings
 live in a separate metadata file so the data products stay byte-identical
 across reruns.
+
+Each rule at the file boundary has one home, which ``cli`` shares:
+- ``output_dir``: the only check of an output location; ``plan`` and
+  ``sweep`` call it before any work;
+- ``scenario._type_problem`` (through ``_field``): every number read from
+  JSON, in a scenario, a sweep spec or a reloaded pareto.json;
+- ``write_csv``: trajectory.csv, generations.csv and sweep.csv;
+- ``vote_weights_dict``: the ``vote_weights`` object of pareto.json and of
+  a re-vote.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ import json
 import time as time_mod
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -38,7 +47,7 @@ from .power import (
     load_power_samples,
     power_for_directions,
 )
-from .scenario import Scenario, run_settings
+from .scenario import Scenario, _field, _section, _type_problem, run_settings
 from .seeding import SeedResult, build_feasible_seed, initial_population
 from .voting import VoteWeights, adjust_coefficients, vote
 
@@ -86,6 +95,39 @@ class PlanResult:
     generation_log: GenerationLog
     metadata: dict
     context: EvaluationContext
+
+
+def output_dir(path) -> Path:
+    """Create the output directory ``path`` and return it. An unusable
+    location (a file in the way, no permission) is a ValidationError
+    naming it, so a caller that checks first fails before any work."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"output directory {path}: {exc.strerror or exc}") from exc
+    return path
+
+
+def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    """Write the ``header`` line, then one line per row: a float cell as
+    ``.10g``, any other cell with ``str``. Feed it Python values
+    (``.tolist()``), so that every cell is formatted the same way."""
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+    return path
+
+
+def vote_weights_dict(weights: VoteWeights) -> dict:
+    """The ``vote_weights`` object of pareto.json and of a re-vote."""
+    return {
+        "k_time": weights.k_time,
+        "k_safety": weights.k_safety,
+        "k_energy": weights.k_energy,
+        "gamma": weights.gamma,
+    }
 
 
 def build_scenario_environment(scn: Scenario) -> Environment:
@@ -163,8 +205,11 @@ def plan(
     """Run the full pipeline for one scenario.
 
     ``env`` and ``power_model`` can be passed in to reuse expensive setup
-    across repeated plans of the same world (sweeps, benchmarks).
+    across repeated plans of the same world (sweeps, benchmarks). An
+    ``out_dir`` is checked with ``output_dir`` before anything is built.
     """
+    if out_dir is not None:
+        out_dir = output_dir(out_dir)
     h = scn.hyper
     timings = {}
     t0 = time_mod.perf_counter()
@@ -219,7 +264,7 @@ def plan(
         context=ctx,
     )
     if out_dir is not None:
-        write_result(result, scn, Path(out_dir))
+        write_result(result, scn, out_dir)
     return result
 
 
@@ -232,16 +277,10 @@ def _individual_to_dict(ind: EvaluatedIndividual) -> dict:
 
 
 def front_to_dict(result: PlanResult, scn: Scenario) -> dict:
-    w = result.weights
     return {
         "front": [_individual_to_dict(ind) for ind in result.front],
         "selected_index": result.selected_index,
-        "vote_weights": {
-            "k_time": w.k_time,
-            "k_safety": w.k_safety,
-            "k_energy": w.k_energy,
-            "gamma": w.gamma,
-        },
+        "vote_weights": vote_weights_dict(result.weights),
         "context": {
             "start": scn.start.tolist(),
             "goal": scn.goal.tolist(),
@@ -259,11 +298,10 @@ def write_result(result: PlanResult, scn: Scenario, out_dir: Path) -> dict:
 
     Returns the paths written. Every emitted trajectory sample set is
     re-checked against the hard constraints. generations.csv has one line
-    per row of the ``GenerationLog`` columns; its cells are formatted from
-    the Python ints and floats of ``.tolist()`` (``nan`` where a generation
-    had no feasible member).
+    per row of the ``GenerationLog`` columns (``nan`` where a generation
+    had no feasible member). ``write_csv`` writes both csv files.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = output_dir(out_dir)
     h = scn.hyper
 
     report = costs_mod.check_constraints(result.samples, result.context.env, h.a_max, h.r_uav)
@@ -275,23 +313,22 @@ def write_result(result: PlanResult, scn: Scenario, out_dir: Path) -> dict:
     pareto_path = out_dir / "pareto.json"
     pareto_path.write_text(json.dumps(front_to_dict(result, scn), indent=2, sort_keys=True))
 
-    traj_path = out_dir / "trajectory.csv"
-    with traj_path.open("w") as fh:
-        fh.write("t_s,x_m,y_m,z_m,speed_mps,power_w\n")
-        for t, pos, speed, power in zip(
-            result.sample_times, result.samples.positions, result.samples.speeds, result.sample_powers
-        ):
-            fh.write(
-                f"{t:.10g},{pos[0]:.10g},{pos[1]:.10g},{pos[2]:.10g},{speed:.10g},{power:.10g}\n"
-            )
+    samples = result.samples
+    traj_path = write_csv(
+        out_dir / "trajectory.csv",
+        ("t_s", "x_m", "y_m", "z_m", "speed_mps", "power_w"),
+        np.column_stack((
+            result.sample_times, samples.positions, samples.speeds, result.sample_powers
+        )).tolist(),
+    )
 
-    gen_path = out_dir / "generations.csv"
-    with gen_path.open("w") as fh:
-        fh.write("gen,front_size,best_time,best_safety,best_energy\n")
-        log = result.generation_log
-        rows = zip(log.front_size.tolist(), log.best.tolist())
-        for gen, (front_size, (t, s, e)) in enumerate(rows, start=1):
-            fh.write(f"{gen},{front_size},{t:.10g},{s:.10g},{e:.10g}\n")
+    log = result.generation_log
+    gen_rows = enumerate(zip(log.front_size.tolist(), log.best.tolist()), start=1)
+    gen_path = write_csv(
+        out_dir / "generations.csv",
+        ("gen", "front_size", "best_time", "best_safety", "best_energy"),
+        ((gen, front_size, *best) for gen, (front_size, best) in gen_rows),
+    )
 
     meta_path = out_dir / "metadata.json"
     meta = dict(result.metadata)
@@ -312,13 +349,14 @@ def write_result(result: PlanResult, scn: Scenario, out_dir: Path) -> dict:
 
 def _front_member(entry: dict) -> EvaluatedIndividual:
     """One pareto.json member; TypeError unless every decision entry, cost
-    and violation is a JSON number (a string or a bool is not)."""
+    and violation is a finite JSON number (``scenario._type_problem``)."""
     decision = list(entry["decision"])
     costs = [entry["costs"][k] for k in ("time_s", "safety", "energy_j")]
     violations = [entry["constraints"][k] for k in ("max_accel_violation", "collision_violation")]
     for value in (*decision, *costs, *violations):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise TypeError(f"{value!r} is not a number")
+        problem = _type_problem(value, float)
+        if problem:
+            raise TypeError(problem)
     return make_individual(decision, costs, violations)
 
 
@@ -326,8 +364,9 @@ def load_front(path) -> tuple[list, dict]:
     """Reload a pareto.json into EvaluatedIndividuals plus its context block.
 
     A missing or unreadable file, invalid JSON, a missing ``front`` or
-    member field, or a decision entry, cost or violation that is not a JSON
-    number (a string or a bool) raises ValidationError.
+    member field, or a decision entry, cost or violation that is not a
+    finite JSON number (a string, a bool, NaN or an infinity) raises
+    ValidationError.
     """
     try:
         data = json.loads(Path(path).read_text())
@@ -340,25 +379,46 @@ def load_front(path) -> tuple[list, dict]:
 # --- sweeps -----------------------------------------------------------------
 
 
-def _spec_number(spec: dict, key: str, default: float) -> float:
-    value = spec.get(key, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"sweep.{key}: must be a number, got {value!r}") from exc
+def _sweep_points(scn: Scenario, spec) -> list[tuple[dict, VoteWeights]]:
+    """Each grid point of ``spec`` as (row head, vote weights). Raises one
+    ValidationError with every problem of the spec; its numbers follow the
+    scenario's rule (``scenario._field``)."""
+    errors: list[str] = []
+    spec = _section(spec, "sweep spec", errors)
+    kind = spec.get("kind")
+    if kind not in ("risk", "coefficients"):
+        errors.append(f"sweep.kind: must be 'risk' or 'coefficients', got {kind!r}")
+    if kind == "risk":
+        axis = spec.get("axis")
+        if axis not in ("wind", "communication", "localization", "battery"):
+            errors.append(f"sweep.axis: unknown risk axis {axis!r}")
+        start = float(_field(spec, "start", "sweep.", 0.0, errors))
+        stop = float(_field(spec, "stop", "sweep.", 1.0, errors))
+        step = float(_field(spec, "step", "sweep.", 0.1, errors))
+        if not (step > 0 and stop >= start):
+            errors.append("sweep.start/stop/step: need step > 0 and stop >= start")
+    if kind == "coefficients":
+        spacing = float(_field(spec, "spacing", "sweep.", 0.1, errors))
+        m = round(1.0 / spacing) if spacing > 0 else 0
+        if m < 1 or abs(m * spacing - 1.0) > 1e-9:
+            errors.append(f"sweep.spacing: {spacing} must be > 0 and divide 1 evenly")
+    if errors:
+        raise ValidationError(errors)
 
-
-def _simplex_grid(spacing: float) -> list[tuple[float, float, float]]:
-    """Lattice of (k_time, k_safety, k_energy) triples summing to 1."""
-    m = round(1.0 / spacing) if spacing > 0 else 0
-    if m < 1 or abs(m * spacing - 1.0) > 1e-9:
-        raise ValidationError(f"sweep.spacing: {spacing} must be > 0 and divide 1 evenly")
-    grid = []
-    for i in range(m + 1):
-        for j in range(m + 1 - i):
-            k = m - i - j
-            grid.append((i / m, j / m, k / m))
-    return grid
+    if kind == "coefficients":
+        # The lattice of (k_time, k_safety, k_energy) summing to 1 in steps
+        # of 1 / m; the baselines equal the coefficients.
+        grid = [(i / m, j / m, (m - i - j) / m) for i in range(m + 1) for j in range(m + 1 - i)]
+        return [({}, VoteWeights(*k, *k, gamma=1.0)) for k in grid]
+    # The tolerance still counts a stop a whole number of steps from
+    # start when the division rounds just below that number; min()
+    # keeps the last point from passing stop by the same rounding.
+    n_points = int(np.floor((stop - start) / step + SWEEP_COUNT_TOL)) + 1
+    values = [min(start + i * step, stop) for i in range(n_points)]
+    return [
+        ({"axis": axis, "value": getattr(risks, axis)}, adjust_coefficients(risks))
+        for risks in (replace(scn.risks, **{axis: value}) for value in values)
+    ]
 
 
 def _member_metrics(scn: Scenario, ind: EvaluatedIndividual, env: Environment) -> dict:
@@ -377,40 +437,12 @@ def sweep(
     """Vote-coefficient or single-risk-axis sweep.
 
     Every grid point re-votes on one Pareto front planned once: risks and
-    coefficients enter only the vote, never the optimiser. The spec is
-    validated before anything is planned.
+    coefficients enter only the vote, never the optimiser. The spec and
+    then the output location are checked before anything is planned.
     """
-    if not isinstance(sweep_spec, dict):
-        raise ValidationError(
-            f"sweep spec: must be a JSON object, got {type(sweep_spec).__name__}"
-        )
-    kind = sweep_spec.get("kind")
-    if kind not in ("risk", "coefficients"):
-        raise ValidationError(f"sweep.kind: must be 'risk' or 'coefficients', got {kind!r}")
-    if kind == "risk":
-        axis = sweep_spec.get("axis")
-        if axis not in ("wind", "communication", "localization", "battery"):
-            raise ValidationError(f"sweep.axis: unknown risk axis {axis!r}")
-        start = _spec_number(sweep_spec, "start", 0.0)
-        stop = _spec_number(sweep_spec, "stop", 1.0)
-        step = _spec_number(sweep_spec, "step", 0.1)
-        if not (step > 0 and stop >= start):
-            raise ValidationError("sweep.start/stop/step: need step > 0 and stop >= start")
-        # The tolerance still counts a stop a whole number of steps from
-        # start when the division rounds just below that number; min()
-        # keeps the last point from passing stop by the same rounding.
-        n_points = int(np.floor((stop - start) / step + SWEEP_COUNT_TOL)) + 1
-        values = [min(start + i * step, stop) for i in range(n_points)]
-        # Each point: (row head, vote weights).
-        points = [
-            ({"axis": axis, "value": getattr(risks, axis)}, adjust_coefficients(risks))
-            for risks in (replace(scn.risks, **{axis: value}) for value in values)
-        ]
-    else:
-        points = [
-            ({}, VoteWeights(*k, *k, gamma=1.0))  # baselines equal the coefficients
-            for k in _simplex_grid(_spec_number(sweep_spec, "spacing", 0.1))
-        ]
+    points = _sweep_points(scn, sweep_spec)
+    if out_dir is not None:
+        out_dir = output_dir(out_dir)
 
     env = build_scenario_environment(scn)
     power_model = fit_quadric(load_power_samples(scn.power_calibration))
@@ -426,21 +458,8 @@ def sweep(
         })
 
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "sweep.csv"
-        columns = list(rows[0].keys())
-        with path.open("w") as fh:
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_format_cell(row[c]) for c in columns) + "\n")
+        write_csv(out_dir / "sweep.csv", list(rows[0]), (row.values() for row in rows))
     return rows
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.10g}"
-    return str(value)
 
 
 # --- power model fitting report ---------------------------------------------

@@ -8,7 +8,8 @@ a bad file is reported once, completely.
 
 Where the rules live:
 - JSON types: a value of the wrong type is one problem; hyperparameter
-  types come from the ``Hyperparams`` field annotations.
+  types come from the ``Hyperparams`` field annotations. ``_type_problem``
+  is the rule for every number read from JSON, also in ``pipeline``.
 - Run settings: ``Hyperparams`` holds the only default of each. A setting
   that ``SafetyParams``, ``SeedingParams`` or ``MooParams`` reads is checked
   by that type alone; ``run_settings`` builds all three, here at load and in

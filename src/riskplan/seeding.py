@@ -97,8 +97,7 @@ def _extend(env, tree: _Tree, target: np.ndarray, step: float, r_uav: float):
     if dist < 1e-12:
         return None
     new = target if dist <= step else near + delta * (step / dist)
-    if not _point_clear(env, new, r_uav):
-        return None
+    # The segment check's last sample is ``new`` itself.
     if not _segment_clear(env, near, new, r_uav):
         return None
     return tree.add(new, near_idx)

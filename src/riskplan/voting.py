@@ -15,9 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from .costs import CostVector
-from .errors import DegenerateRiskError, ValidationError
+from .errors import ValidationError
 
-DEFAULT_BASELINES = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
+BASELINES = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)  # (time, safety, energy)
 
 
 @dataclass(frozen=True)
@@ -55,25 +55,21 @@ class VoteWeights:
             raise ValidationError("vote weights must sum to 1")
 
 
-def adjust_coefficients(risks: RiskState, baselines: tuple = DEFAULT_BASELINES) -> VoteWeights:
-    """Risk-adjusted, normalized objective coefficients.
+def adjust_coefficients(risks: RiskState) -> VoteWeights:
+    """Risk-adjusted, normalized objective coefficients from ``BASELINES``.
 
     Wind, communication, and localization shift influence from time toward
     safety; battery pulls it back toward time and energy. Negative
     intermediate values are clamped to zero before normalization so a rank
-    can lose all influence but never invert.
+    can lose all influence but never invert. The energy term is at least
+    its baseline for risks in [0, 1], so the total never vanishes.
     """
-    b_time, b_safety, b_energy = baselines
-    if min(baselines) < 0 or abs(sum(baselines) - 1.0) > 1e-9:
-        raise ValidationError("baselines must be >= 0 and sum to 1")
+    b_time, b_safety, b_energy = BASELINES
     shift = 0.5 * risks.wind + 0.25 * risks.communication + 0.25 * risks.localization - risks.battery
     u_safety = max(b_safety * (1.0 + shift), 0.0)
     u_time = max(b_time * (1.0 - shift), 0.0)
-    u_energy = max(b_energy * (1.0 + 0.5 * risks.wind + 0.5 * risks.battery), 0.0)
-    total = u_safety + u_time + u_energy
-    if total <= 0.0:
-        raise DegenerateRiskError("all objective weights vanished; cannot normalize")
-    gamma = 1.0 / total
+    u_energy = b_energy * (1.0 + 0.5 * risks.wind + 0.5 * risks.battery)
+    gamma = 1.0 / (u_safety + u_time + u_energy)
     return VoteWeights(
         k_time=gamma * u_time,
         k_safety=gamma * u_safety,
@@ -102,14 +98,15 @@ def rank_objectives(front: Sequence[CostVector]) -> np.ndarray:
 
 
 def vote(front: Sequence, weights: VoteWeights) -> int:
-    """Index of the Pareto member with the lowest weighted rank sum.
+    """Index of the front member (an ``EvaluatedIndividual``) with the
+    lowest weighted rank sum.
 
     Ties break deterministically: lower safety cost, then lower time cost,
     then lower index.
     """
     if not front:
         raise ValidationError("cannot vote on an empty front")
-    cost_vectors = [ind.costs if hasattr(ind, "costs") else ind for ind in front]
+    cost_vectors = [ind.costs for ind in front]
     ranks = rank_objectives(cost_vectors)
     k = np.array([weights.k_time, weights.k_safety, weights.k_energy])
     scores = ranks @ k

@@ -70,7 +70,7 @@ class TestPlanCommand:
         data["hyperparams"]["rrt_max_iters"] = 200
         path = tmp_path / "sealed.json"
         path.write_text(json.dumps(data))
-        assert main(["plan", str(path)]) == 3
+        assert main(["plan", str(path), "--out", str(tmp_path / "out")]) == 3
 
     @pytest.mark.parametrize(
         "change, args",
@@ -210,6 +210,20 @@ class TestVoteCommand:
         assert payload["vote_weights"]["k_time"] == pytest.approx(4 / 7)
         assert "selected_index" in payload
 
+    def test_vote_weights_match_pareto(self, scenario_file, tmp_path, capsys):
+        # Re-voting at the plan's risks prints the pareto.json weights,
+        # gamma included.
+        out = tmp_path / "results"
+        risks = "0.2,0.1,0,0.3"
+        assert main(["plan", str(scenario_file), "--out", str(out), "--risks", risks]) == 0
+        capsys.readouterr()
+        assert main(["vote", str(out / "pareto.json"), "--risks", risks]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        pareto = json.loads((out / "pareto.json").read_text())
+        assert payload["vote_weights"] == pareto["vote_weights"]
+        assert set(payload["vote_weights"]) == {"k_time", "k_safety", "k_energy", "gamma"}
+        assert payload["selected_index"] == pareto["selected_index"]
+
     def test_bad_risks_format(self, scenario_file, tmp_path):
         out = tmp_path / "results"
         assert main(["plan", str(scenario_file), "--out", str(out)]) == 0
@@ -228,10 +242,17 @@ class TestVoteCommand:
                 **member_entry(2.0),
                 "constraints": {"max_accel_violation": False, "collision_violation": 0.0},
             }]}),
+            json.dumps({"front": [member_entry(float("nan")), member_entry(2.0)]}),
+            json.dumps({"front": [{
+                **member_entry(2.0),
+                "constraints": {"max_accel_violation": float("inf"), "collision_violation": 0.0},
+            }]}),
+            json.dumps({"front": [{**member_entry(2.0), "decision": [1.0, float("nan")] * 3}]}),
         ],
         ids=[
             "missing", "not-json", "no-front", "not-an-object", "null-cost", "text-cost",
-            "numeric-string", "bool-cost", "text-decision", "bool-violation",
+            "numeric-string", "bool-cost", "text-decision", "bool-violation", "nan-cost",
+            "infinite-violation", "nan-decision",
         ],
     )
     def test_unreadable_front_exit_code(self, tmp_path, capsys, content):
@@ -289,6 +310,13 @@ class TestSweepCommand:
         spec.write_text(json.dumps({"kind": "banana"}))
         assert main(["sweep", str(scenario_file), "--spec", str(spec)]) == 2
 
+    def test_rejected_spec_creates_no_output(self, scenario_file, tmp_path, no_planning):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "banana"}))
+        out = tmp_path / "out"
+        assert main(["sweep", str(scenario_file), "--spec", str(spec), "--out", str(out)]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "bad",
         [
@@ -313,8 +341,15 @@ class TestSweepCommand:
             {"kind": "risk", "axis": "wind", "start": "x"},
             {"kind": "risk", "axis": "wind", "stop": [1]},
             {"kind": "risk", "axis": "wind", "step": None},
+            {"kind": "risk", "axis": "wind", "stop": float("inf")},
+            {"kind": "coefficients", "spacing": True},
+            {"kind": "coefficients", "spacing": "0.5"},
+            {"kind": "risk", "axis": "wind", "step": "0.25"},
         ],
-        ids=["list", "string", "text-spacing", "text-start", "list-stop", "null-step"],
+        ids=[
+            "list", "string", "text-spacing", "text-start", "list-stop", "null-step",
+            "infinite-stop", "bool-spacing", "numeric-string-spacing", "numeric-string-step",
+        ],
     )
     def test_malformed_spec_rejected_before_planning(
         self, scenario_file, tmp_path, no_planning, capsys, bad

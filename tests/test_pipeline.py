@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -222,6 +223,25 @@ class TestRiskEffect:
         assert np.mean(distances["windy"]) >= np.mean(distances["calm"])
 
 
+class TestOutputLocation:
+    def test_file_in_the_way_fails_before_building(self, tmp_path, monkeypatch):
+        # Called as a library, plan and sweep check an out_dir first.
+        scn = make_corridor_scenario(tmp_path, n_gen=20)
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built the environment before checking out_dir")
+
+        monkeypatch.setattr(pipeline_mod, "build_scenario_environment", refuse)
+        message = re.escape(f"output directory {taken}: ")
+        with pytest.raises(ValidationError, match=message):
+            plan(scn, out_dir=taken)
+        spec = {"kind": "risk", "axis": "wind", "step": 0.5}
+        with pytest.raises(ValidationError, match=message):
+            sweep(scn, spec, out_dir=taken)
+
+
 class TestSweep:
     def test_battery_axis_has_11_rows(self, tmp_path):
         scn = make_corridor_scenario(tmp_path, n_gen=100)
@@ -271,6 +291,14 @@ class TestSweep:
             sweep(scn, {"kind": "nope"})
         with pytest.raises(ValidationError):
             sweep(scn, {"kind": "risk", "axis": "sunspots"})
+
+    def test_spec_problems_reported_together(self, tmp_path):
+        scn = make_corridor_scenario(tmp_path, n_gen=20)
+        spec = {"kind": "risk", "axis": "sunspots", "stop": float("inf"), "step": True}
+        with pytest.raises(ValidationError) as info:
+            sweep(scn, spec)
+        fields = [v.split(":")[0] for v in info.value.violations]
+        assert fields == ["sweep.axis", "sweep.stop", "sweep.step"]
 
     def test_sweep_deterministic(self, tmp_path):
         scn = make_corridor_scenario(tmp_path, n_gen=60)

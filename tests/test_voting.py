@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from riskplan.costs import CostVector
-from riskplan.errors import DegenerateRiskError, ValidationError
+from riskplan.errors import ValidationError
+from riskplan.moo import make_individual
 from riskplan.voting import (
     RiskState,
     VoteWeights,
@@ -18,6 +19,11 @@ from riskplan.voting import (
 
 def cv(t, s, e):
     return CostVector(time_s=t, safety=s, energy_j=e)
+
+
+def members(cost_vectors):
+    """Front members with the given costs, as ``vote`` takes them."""
+    return [make_individual([], c.as_array(), (0.0, 0.0)) for c in cost_vectors]
 
 
 def direct_weights(k_time, k_safety, k_energy):
@@ -105,14 +111,6 @@ class TestAdjustCoefficients:
         assert u_energy(RiskState(wind=0.5, battery=0.2)) > u_energy(base)
         assert u_energy(RiskState(wind=0.2, battery=0.5)) > u_energy(base)
 
-    def test_degenerate_baselines(self):
-        with pytest.raises(DegenerateRiskError):
-            adjust_coefficients(RiskState(battery=1.0), baselines=(0.0, 1.0, 0.0))
-
-    def test_invalid_baselines(self):
-        with pytest.raises(ValidationError):
-            adjust_coefficients(RiskState(), baselines=(0.5, 0.2, 0.2))
-
     def test_risk_bounds(self):
         with pytest.raises(ValidationError):
             RiskState(wind=1.2)
@@ -138,20 +136,20 @@ class TestRankObjectives:
 class TestVote:
     def test_pure_safety_weight(self):
         front = [cv(1, 0.9, 10), cv(2, 0.1, 20), cv(3, 0.5, 5)]
-        assert vote(front, direct_weights(0, 1, 0)) == 1
+        assert vote(members(front), direct_weights(0, 1, 0)) == 1
 
     def test_paper_style_safety_weights(self):
         # Mostly-safety weighting (0.1, 0.5, 0.4) picks the safest member
         # of a front where safety and the other objectives conflict.
         front = [cv(10, 0.8, 5000), cv(12, 0.3, 5600), cv(15, 0.05, 6500)]
-        selected = vote(front, direct_weights(0.1, 0.5, 0.4))
+        selected = vote(members(front), direct_weights(0.1, 0.5, 0.4))
         assert selected == 2
 
     def test_tie_breaks_on_safety_then_time(self):
         front = [cv(2, 0.5, 10), cv(1, 0.5, 11), cv(1, 0.2, 12)]
         # weights that produce a score tie between members
         w = direct_weights(0.5, 0.0, 0.5)
-        index = vote(front, w)
+        index = vote(members(front), w)
         scores = rank_objectives(front) @ np.array([0.5, 0.0, 0.5])
         tied = np.flatnonzero(scores == scores.min())
         assert index in tied
@@ -162,9 +160,9 @@ class TestVote:
         rng = np.random.default_rng(4)
         front = [cv(*c) for c in rng.uniform(1, 10, size=(6, 3))]
         w = direct_weights(0.3, 0.4, 0.3)
-        before = vote(front, w)
+        before = vote(members(front), w)
         transformed = [cv(np.exp(c.time_s / 3.0), c.safety, c.energy_j) for c in front]
-        assert vote(transformed, w) == before
+        assert vote(members(transformed), w) == before
 
     def test_dominated_never_selected_weight_grid(self):
         rng = np.random.default_rng(8)
@@ -178,7 +176,7 @@ class TestVote:
             front = [cv(*c) for c in rng.uniform(0, 5, size=(n, 3))]
             ranks = rank_objectives(front)
             for weights in grid:
-                index = vote(front, direct_weights(*weights))
+                index = vote(members(front), direct_weights(*weights))
                 k = np.asarray(weights)
                 for other in range(n):
                     if other == index:

@@ -25,7 +25,10 @@ The set:
   city world 7 fields are also taken at 0.37, where a change in summation
   order shows;
 - ``scenarios/corridor.json`` at rng seeds 7 and 8 (its 1000 generations):
-  ``pareto.json``, ``trajectory.csv``, ``generations.csv``;
+  ``pareto.json``, ``trajectory.csv``, ``generations.csv``; then each
+  ``pareto.json`` read back with ``pipeline.load_front`` and re-voted at
+  four fixed risk states (``revote``: one digest of the selected indices
+  and the vote weights' floats);
 - the ``perfbench/city.py`` worlds 7, 8 and 9: the same three files. On
   worlds 7 and 8 about 4% of (trajectory, hull) pairs lie inside the hull
   cost's cull box, on world 9 about 20%, so both the skipped and the
@@ -66,6 +69,9 @@ CITY_WORLDS = (7, 8, 9)
 FINE_RESOLUTION = 0.37  # not dyadic: squared distances round
 FINE_FIELDS = ("corridor", "city-7")
 SWEEP_N_GEN = 100
+# Picked so that the selections differ: members 0, 14, 14, 10 at seed 7
+# and 0, 39, 24, 0 at seed 8; most risk states select member 0.
+REVOTE_RISKS = ((0, 0, 0, 1), (0, 1, 1, 0), (0.25, 0.75, 1, 0), (0.5, 0.75, 0.5, 0))
 EDGE_ROWS = 200
 EDGE_INTERIOR = 5
 EDGE_WORLDS = ("corridor", "city-9")
@@ -151,9 +157,10 @@ def main(argv=None) -> int:
     import city
     from riskplan.environment import build_environment
     from riskplan.moo import evaluate_batch, make_context
-    from riskplan.pipeline import plan, sweep
+    from riskplan.pipeline import load_front, plan, sweep
     from riskplan.power import fit_quadric, load_power_samples
     from riskplan.scenario import load_scenario, run_settings, scenario_from_dict
+    from riskplan.voting import RiskState, adjust_coefficients, vote
 
     scenarios = root / "scenarios"
     corridor = load_scenario(scenarios / "corridor.json")
@@ -209,6 +216,14 @@ def main(argv=None) -> int:
             plan(scn, out_dir=out / label)
             for name in PLAN_FILES:
                 print(f"{_digest(out / label / name)}  {label}/{name}", flush=True)
+            if label.startswith("corridor"):
+                front, _ = load_front(out / label / "pareto.json")
+                votes = []
+                for risks in REVOTE_RISKS:
+                    w = adjust_coefficients(RiskState(*risks))
+                    votes.append([vote(front, w), w.k_time, w.k_safety, w.k_energy, w.gamma])
+                digest = hashlib.sha256(json.dumps(votes).encode()).hexdigest()
+                print(f"{digest}  {label}/revote", flush=True)
         for label, spec in SWEEPS.items():
             for seed in SEEDS:
                 run = f"sweep-{label}-{seed}"
