@@ -30,11 +30,11 @@ from .moo import (
     run_nsga2,
 )
 from .nurbs import NurbsCurve4D, TrajectorySamples, make_clamped_uniform_knots, sample_uniform
-from .pipeline import PlanResult, plan, sweep
+from .pipeline import PlanResult, SweepTable, plan, sweep
 from .power import PowerQuadricModel, PowerSample, fit_quadric
 from .scenario import Hyperparams, Scenario, load_scenario
 from .seeding import SeedingParams, find_seed_path, initial_population
-from .voting import RiskState, VoteWeights, adjust_coefficients, rank_objectives, vote
+from .voting import RiskState, VoteWeights, adjust_coefficients, rank_objectives, vote, votes
 
 __version__ = "0.1.0"
 
@@ -61,6 +61,7 @@ __all__ = [
     "SeedingParams",
     "SignedDistanceField",
     "SphereObstacle",
+    "SweepTable",
     "TrajectorySamples",
     "VoteWeights",
     "adjust_coefficients",
@@ -80,4 +81,5 @@ __all__ = [
     "sample_uniform",
     "sweep",
     "vote",
+    "votes",
 ]

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import json
 import time as time_mod
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -49,10 +50,11 @@ from .power import (
 )
 from .scenario import Scenario, _field, _section, _type_problem, run_settings
 from .seeding import SeedResult, build_feasible_seed, initial_population
-from .voting import VoteWeights, adjust_coefficients, vote
+from .voting import VoteWeights, adjust_coefficients, vote, votes
 
 CONSTRAINT_EMIT_TOL = 1e-9
 SWEEP_COUNT_TOL = 1e-9
+MAX_SWEEP_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -347,47 +349,61 @@ def write_result(result: PlanResult, scn: Scenario, out_dir: Path) -> dict:
     }
 
 
-def _front_member(entry: dict) -> EvaluatedIndividual:
-    """One pareto.json member; TypeError unless every decision entry, cost
-    and violation is a finite JSON number (``scenario._type_problem``)."""
+def _front_member(entry: dict, where: str, errors: list) -> Optional[EvaluatedIndividual]:
+    """The pareto.json member at ``where`` (``front[i]``), or None with each
+    decision entry, cost or violation that is not a finite JSON number
+    (``scenario._type_problem``) reported by member and field."""
     decision = list(entry["decision"])
-    costs = [entry["costs"][k] for k in ("time_s", "safety", "energy_j")]
-    violations = [entry["constraints"][k] for k in ("max_accel_violation", "collision_violation")]
-    for value in (*decision, *costs, *violations):
-        problem = _type_problem(value, float)
-        if problem:
-            raise TypeError(problem)
-    return make_individual(decision, costs, violations)
+    costs = {f"costs.{k}": entry["costs"][k] for k in ("time_s", "safety", "energy_j")}
+    violations = {
+        f"constraints.{k}": entry["constraints"][k]
+        for k in ("max_accel_violation", "collision_violation")
+    }
+    named = {**{f"decision[{j}]": v for j, v in enumerate(decision)}, **costs, **violations}
+    problems = [
+        f"{where}.{name}: {problem}"
+        for name, value in named.items()
+        if (problem := _type_problem(value, float))
+    ]
+    errors.extend(problems)
+    return None if problems else make_individual(decision, costs.values(), violations.values())
 
 
 def load_front(path) -> tuple[list, dict]:
     """Reload a pareto.json into EvaluatedIndividuals plus its context block.
 
-    A missing or unreadable file, invalid JSON, a missing ``front`` or
-    member field, or a decision entry, cost or violation that is not a
-    finite JSON number (a string, a bool, NaN or an infinity) raises
-    ValidationError.
+    A missing or unreadable file, invalid JSON, or a missing ``front`` or
+    member field raises ValidationError. So does a decision entry, cost or
+    violation that is not a finite JSON number (a string, a bool, NaN or
+    an infinity), named as in ``front[3].costs.time_s``, one message each.
     """
+    errors: list[str] = []
     try:
         data = json.loads(Path(path).read_text())
-        front = [_front_member(entry) for entry in data["front"]]
+        entries = enumerate(data["front"])
+        front = [_front_member(entry, f"front[{i}]", errors) for i, entry in entries]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: not a readable Pareto front ({exc!r})") from exc
+    if errors:
+        raise ValidationError([f"{path}: {problem}" for problem in errors])
     return front, data.get("context", {})
 
 
 # --- sweeps -----------------------------------------------------------------
 
 
-def _sweep_points(scn: Scenario, spec) -> list[tuple[dict, VoteWeights]]:
-    """Each grid point of ``spec`` as (row head, vote weights). Raises one
-    ValidationError with every problem of the spec; its numbers follow the
-    scenario's rule (``scenario._field``)."""
+def _sweep_points(scn: Scenario, spec) -> tuple[Optional[str], Optional[list], list[VoteWeights]]:
+    """The grid of ``spec`` as (risk axis, its values, vote weights per
+    point); axis and values are None for a coefficient sweep. Raises one
+    ValidationError with every problem of the spec, a grid of more than
+    ``MAX_SWEEP_POINTS`` points among them, before the grid is built; its
+    numbers follow the scenario's rule (``scenario._field``)."""
     errors: list[str] = []
     spec = _section(spec, "sweep spec", errors)
     kind = spec.get("kind")
     if kind not in ("risk", "coefficients"):
         errors.append(f"sweep.kind: must be 'risk' or 'coefficients', got {kind!r}")
+    n_points = 0.0  # a float, so that an infinite count compares too
     if kind == "risk":
         axis = spec.get("axis")
         if axis not in ("wind", "communication", "localization", "battery"):
@@ -395,13 +411,22 @@ def _sweep_points(scn: Scenario, spec) -> list[tuple[dict, VoteWeights]]:
         start = float(_field(spec, "start", "sweep.", 0.0, errors))
         stop = float(_field(spec, "stop", "sweep.", 1.0, errors))
         step = float(_field(spec, "step", "sweep.", 0.1, errors))
-        if not (step > 0 and stop >= start):
+        if step > 0 and stop >= start:
+            # The tolerance still counts a stop a whole number of steps
+            # from start when the division rounds just below that number.
+            n_points = np.floor((stop - start) / step + SWEEP_COUNT_TOL) + 1
+        else:
             errors.append("sweep.start/stop/step: need step > 0 and stop >= start")
     if kind == "coefficients":
         spacing = float(_field(spec, "spacing", "sweep.", 0.1, errors))
-        m = round(1.0 / spacing) if spacing > 0 else 0
-        if m < 1 or abs(m * spacing - 1.0) > 1e-9:
-            errors.append(f"sweep.spacing: {spacing} must be > 0 and divide 1 evenly")
+        steps = 1.0 / spacing if spacing > 0 else 0.0  # inf for a subnormal spacing
+        n_points = (steps + 1) * (steps + 2) / 2
+        if n_points <= MAX_SWEEP_POINTS:
+            m = round(steps)
+            if m < 1 or abs(m * spacing - 1.0) > 1e-9:
+                errors.append(f"sweep.spacing: {spacing} must be > 0 and divide 1 evenly")
+    if n_points > MAX_SWEEP_POINTS:
+        errors.append(f"sweep: {n_points:.4g} grid points, more than {MAX_SWEEP_POINTS}")
     if errors:
         raise ValidationError(errors)
 
@@ -409,16 +434,12 @@ def _sweep_points(scn: Scenario, spec) -> list[tuple[dict, VoteWeights]]:
         # The lattice of (k_time, k_safety, k_energy) summing to 1 in steps
         # of 1 / m; the baselines equal the coefficients.
         grid = [(i / m, j / m, (m - i - j) / m) for i in range(m + 1) for j in range(m + 1 - i)]
-        return [({}, VoteWeights(*k, *k, gamma=1.0)) for k in grid]
-    # The tolerance still counts a stop a whole number of steps from
-    # start when the division rounds just below that number; min()
-    # keeps the last point from passing stop by the same rounding.
-    n_points = int(np.floor((stop - start) / step + SWEEP_COUNT_TOL)) + 1
-    values = [min(start + i * step, stop) for i in range(n_points)]
-    return [
-        ({"axis": axis, "value": getattr(risks, axis)}, adjust_coefficients(risks))
-        for risks in (replace(scn.risks, **{axis: value}) for value in values)
-    ]
+        return None, None, [VoteWeights(*k, *k, gamma=1.0) for k in grid]
+    # min() keeps the last point from passing stop by the rounding that
+    # SWEEP_COUNT_TOL forgives.
+    values = [min(start + i * step, stop) for i in range(int(n_points))]
+    weights = [adjust_coefficients(replace(scn.risks, **{axis: value})) for value in values]
+    return axis, values, weights
 
 
 def _member_metrics(scn: Scenario, ind: EvaluatedIndividual, env: Environment) -> dict:
@@ -429,18 +450,69 @@ def _member_metrics(scn: Scenario, ind: EvaluatedIndividual, env: Environment) -
     return {"time_s": ind.costs.time_s, "energy_j": ind.costs.energy_j, **metrics}
 
 
+@dataclass(frozen=True, eq=False)
+class SweepTable(Sequence):
+    """A sweep's rows in columns; row p is grid point p.
+
+    ``k`` is (P, 3) float64: the vote weights on (time, safety, energy).
+    ``selected_index`` is (P,) int64: the member each point selects, and
+    ``metrics`` maps each selected index to its ``_member_metrics``. A risk
+    sweep also has its ``axis`` name and the (P,) float64 ``value`` column.
+
+    As a sequence it yields one new dict per row, built on access: ``axis``
+    and ``value`` (risk sweeps), ``k_time``, ``k_safety``, ``k_energy``,
+    ``selected_index``, then the metrics, as Python numbers. ``==``
+    compares those rows, so a table equals a list of the same dicts.
+    """
+
+    k: np.ndarray
+    selected_index: np.ndarray
+    metrics: dict
+    axis: Optional[str] = None
+    value: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return len(self.selected_index)
+
+    def __getitem__(self, item):
+        rows = range(len(self))[item]  # negative indices, slices, IndexError
+        if isinstance(rows, range):
+            return [self._row(p) for p in rows]
+        return self._row(rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def _row(self, p: int) -> dict:
+        head = {} if self.axis is None else {"axis": self.axis, "value": float(self.value[p])}
+        k_time, k_safety, k_energy = self.k[p].tolist()
+        index = int(self.selected_index[p])
+        return {
+            **head, "k_time": k_time, "k_safety": k_safety, "k_energy": k_energy,
+            "selected_index": index, **self.metrics[index],
+        }
+
+
 def sweep(
     scn: Scenario,
     sweep_spec: dict,
     out_dir: Optional[Path] = None,
-) -> list[dict]:
+) -> SweepTable:
     """Vote-coefficient or single-risk-axis sweep.
 
     Every grid point re-votes on one Pareto front planned once: risks and
     coefficients enter only the vote, never the optimiser. The spec and
     then the output location are checked before anything is planned.
+
+    The whole grid goes through one ``votes`` ballot, so the front's ranks
+    are built once. ``_member_metrics`` runs once per distinct selected
+    member, not once per point. The rows come back as a ``SweepTable``,
+    whose size grows with the grid by two columns, not by a dict per row;
+    sweep.csv is written from it.
     """
-    points = _sweep_points(scn, sweep_spec)
+    axis, values, weights = _sweep_points(scn, sweep_spec)
     if out_dir is not None:
         out_dir = output_dir(out_dir)
 
@@ -448,18 +520,18 @@ def sweep(
     power_model = fit_quadric(load_power_samples(scn.power_calibration))
     front = plan(scn, env=env, power_model=power_model).front
 
-    rows = []
-    for head, weights in points:
-        index = vote(front, weights)
-        rows.append({
-            **head, "k_time": weights.k_time, "k_safety": weights.k_safety,
-            "k_energy": weights.k_energy, "selected_index": index,
-            **_member_metrics(scn, front[index], env),
-        })
+    selected = votes(front, weights)
+    table = SweepTable(
+        k=np.array([(w.k_time, w.k_safety, w.k_energy) for w in weights]),
+        selected_index=np.array(selected, dtype=np.int64),
+        metrics={i: _member_metrics(scn, front[i], env) for i in dict.fromkeys(selected)},
+        axis=axis,
+        value=None if values is None else np.array(values, dtype=float),
+    )
 
     if out_dir is not None:
-        write_csv(out_dir / "sweep.csv", list(rows[0]), (row.values() for row in rows))
-    return rows
+        write_csv(out_dir / "sweep.csv", list(table[0]), (row.values() for row in table))
+    return table
 
 
 # --- power model fitting report ---------------------------------------------

@@ -10,7 +10,7 @@ skipped).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -81,6 +81,15 @@ def adjust_coefficients(risks: RiskState) -> VoteWeights:
     )
 
 
+def _competition_ranks(costs: np.ndarray) -> np.ndarray:
+    """Per-column competition ranks of an (N, 3) cost matrix: the number of
+    strictly lower costs in the same column, as a C-ordered (N, 3) int
+    array. The comparisons run on one contiguous row per objective, where
+    the count is a sum over the last axis."""
+    planes = np.ascontiguousarray(costs.T)
+    return np.ascontiguousarray((planes[:, None, :] < planes[:, :, None]).sum(axis=2).T)
+
+
 def rank_objectives(front: Sequence[CostVector]) -> np.ndarray:
     """Per-objective competition ranks, shape (N, 3), 0 = best (lowest cost).
 
@@ -89,28 +98,30 @@ def rank_objectives(front: Sequence[CostVector]) -> np.ndarray:
     """
     if not front:
         raise ValidationError("cannot rank an empty front")
-    costs = np.array([cv.as_array() for cv in front])
-    ranks = np.empty_like(costs, dtype=int)
-    for col in range(costs.shape[1]):
-        column = costs[:, col]
-        ranks[:, col] = (column[None, :] < column[:, None]).sum(axis=1)
-    return ranks
+    return _competition_ranks(np.array([(cv.time_s, cv.safety, cv.energy_j) for cv in front]))
 
 
-def vote(front: Sequence, weights: VoteWeights) -> int:
-    """Index of the front member (an ``EvaluatedIndividual``) with the
-    lowest weighted rank sum.
+def votes(front: Sequence, weights_seq: Iterable[VoteWeights]) -> list[int]:
+    """For each of ``weights_seq``, the index of the front member (an
+    ``EvaluatedIndividual``) with the lowest weighted rank sum.
 
-    Ties break deterministically: lower safety cost, then lower time cost,
-    then lower index.
+    One ballot serves every weight set: the cost matrix, its ranks and the
+    tie-break columns are built once per front. Ties break
+    deterministically: lower safety cost, then lower time cost, then lower
+    index.
     """
     if not front:
         raise ValidationError("cannot vote on an empty front")
-    cost_vectors = [ind.costs for ind in front]
-    ranks = rank_objectives(cost_vectors)
-    k = np.array([weights.k_time, weights.k_safety, weights.k_energy])
-    scores = ranks @ k
-    safety = np.array([cv.safety for cv in cost_vectors])
-    time = np.array([cv.time_s for cv in cost_vectors])
-    order = np.lexsort((np.arange(len(front)), time, safety, scores))
-    return int(order[0])
+    costs = np.array([(ind.costs.time_s, ind.costs.safety, ind.costs.energy_j) for ind in front])
+    ranks = _competition_ranks(costs)
+    index, time, safety = np.arange(len(front)), costs[:, 0], costs[:, 1]
+    picks = []
+    for weights in weights_seq:
+        scores = ranks @ np.array([weights.k_time, weights.k_safety, weights.k_energy])
+        picks.append(int(np.lexsort((index, time, safety, scores))[0]))
+    return picks
+
+
+def vote(front: Sequence, weights: VoteWeights) -> int:
+    """The index ``votes`` picks for one weight set."""
+    return votes(front, [weights])[0]

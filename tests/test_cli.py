@@ -230,37 +230,73 @@ class TestVoteCommand:
         assert main(["vote", str(out / "pareto.json"), "--risks", "1,2"]) == 2
 
     @pytest.mark.parametrize(
-        "content",
+        "content, message",
         [
-            None, "not json {", json.dumps({"selected_index": 0}), json.dumps([1, 2]),
-            json.dumps({"front": [member_entry(None), member_entry(2.0)]}),
-            json.dumps({"front": [member_entry("x"), member_entry(2.0)]}),
-            json.dumps({"front": [member_entry("1.5"), member_entry(2.0)]}),
-            json.dumps({"front": [member_entry(True), member_entry(2.0)]}),
-            json.dumps({"front": [{**member_entry(2.0), "decision": ["1.0"] * 7}]}),
-            json.dumps({"front": [{
-                **member_entry(2.0),
-                "constraints": {"max_accel_violation": False, "collision_violation": 0.0},
-            }]}),
-            json.dumps({"front": [member_entry(float("nan")), member_entry(2.0)]}),
-            json.dumps({"front": [{
-                **member_entry(2.0),
-                "constraints": {"max_accel_violation": float("inf"), "collision_violation": 0.0},
-            }]}),
-            json.dumps({"front": [{**member_entry(2.0), "decision": [1.0, float("nan")] * 3}]}),
+            (None, "not a readable Pareto front"),
+            ("not json {", "not a readable Pareto front"),
+            (json.dumps({"selected_index": 0}), "not a readable Pareto front"),
+            (json.dumps([1, 2]), "not a readable Pareto front"),
+            (
+                json.dumps({"front": [member_entry(None), member_entry(2.0)]}),
+                "front[0].costs.time_s: must be a finite number, got None",
+            ),
+            (
+                json.dumps({"front": [member_entry("x"), member_entry(2.0)]}),
+                "front[0].costs.time_s: must be a finite number, got 'x'",
+            ),
+            (
+                json.dumps({"front": [member_entry("1.5"), member_entry(2.0)]}),
+                "front[0].costs.time_s: must be a finite number, got '1.5'",
+            ),
+            (
+                json.dumps({"front": [member_entry(True), member_entry(2.0)]}),
+                "front[0].costs.time_s: must be a finite number, got True",
+            ),
+            (
+                json.dumps({"front": [{**member_entry(2.0), "decision": ["1.0"] * 7}]}),
+                "front[0].decision[6]: must be a finite number, got '1.0'",
+            ),
+            (
+                json.dumps({"front": [{
+                    **member_entry(2.0),
+                    "constraints": {"max_accel_violation": False, "collision_violation": 0.0},
+                }]}),
+                "front[0].constraints.max_accel_violation: must be a finite number, got False",
+            ),
+            (
+                json.dumps({"front": [member_entry(float("nan")), member_entry(2.0)]}),
+                "front[0].costs.time_s: must be a finite number, got nan",
+            ),
+            (
+                json.dumps({"front": [member_entry(2.0), member_entry(float("nan"))]}),
+                "front[1].costs.time_s: must be a finite number, got nan",
+            ),
+            (
+                json.dumps({"front": [{
+                    **member_entry(2.0),
+                    "constraints": {"max_accel_violation": float("inf"), "collision_violation": 0.0},
+                }]}),
+                "front[0].constraints.max_accel_violation: must be a finite number, got inf",
+            ),
+            (
+                json.dumps({"front": [{**member_entry(2.0), "decision": [1.0, float("nan")] * 3}]}),
+                "front[0].decision[5]: must be a finite number, got nan",
+            ),
         ],
         ids=[
             "missing", "not-json", "no-front", "not-an-object", "null-cost", "text-cost",
             "numeric-string", "bool-cost", "text-decision", "bool-violation", "nan-cost",
-            "infinite-violation", "nan-decision",
+            "nan-cost-second-member", "infinite-violation", "nan-decision",
         ],
     )
-    def test_unreadable_front_exit_code(self, tmp_path, capsys, content):
+    def test_unreadable_front_exit_code(self, tmp_path, capsys, content, message):
         path = tmp_path / "pareto.json"
         if content is not None:
             path.write_text(content)
         assert main(["vote", str(path), "--risks", "0,0,0,0"]) == 2
-        assert "validation error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: {path}: ")
+        assert message in err
 
 
 class TestFitPowerCommand:
@@ -345,10 +381,14 @@ class TestSweepCommand:
             {"kind": "coefficients", "spacing": True},
             {"kind": "coefficients", "spacing": "0.5"},
             {"kind": "risk", "axis": "wind", "step": "0.25"},
+            {"kind": "risk", "axis": "wind", "step": 1e-320},
+            {"kind": "coefficients", "spacing": 1e-320},
+            {"kind": "risk", "axis": "wind", "step": 1e-9},
         ],
         ids=[
             "list", "string", "text-spacing", "text-start", "list-stop", "null-step",
             "infinite-stop", "bool-spacing", "numeric-string-spacing", "numeric-string-step",
+            "subnormal-step", "subnormal-spacing", "billion-points",
         ],
     )
     def test_malformed_spec_rejected_before_planning(

@@ -26,7 +26,7 @@ from riskplan.pipeline import (
     write_result,
 )
 from riskplan.power import PowerQuadricModel, power_for_directions
-from riskplan.voting import RiskState, adjust_coefficients, vote
+from riskplan.voting import RiskState, adjust_coefficients, vote, votes
 
 
 @pytest.fixture(scope="module")
@@ -300,11 +300,79 @@ class TestSweep:
         fields = [v.split(":")[0] for v in info.value.violations]
         assert fields == ["sweep.axis", "sweep.stop", "sweep.step"]
 
+    def test_grid_size_reported_with_other_problems(self, tmp_path):
+        scn = make_corridor_scenario(tmp_path, n_gen=20)
+        with pytest.raises(ValidationError) as info:
+            sweep(scn, {"kind": "risk", "axis": "sunspots", "step": 1e-9})
+        assert info.value.violations[1:] == ["sweep: 1e+09 grid points, more than 1000000"]
+        assert info.value.violations[0].startswith("sweep.axis:")
+
     def test_sweep_deterministic(self, tmp_path):
         scn = make_corridor_scenario(tmp_path, n_gen=60)
         r1 = sweep(scn, {"kind": "risk", "axis": "battery", "step": 0.5})
         r2 = sweep(scn, {"kind": "risk", "axis": "battery", "step": 0.5})
         assert r1 == r2
+
+
+class TestSweepTable:
+    """``sweep`` votes once per grid and scores each selected member once;
+    its rows read as the per-point loop built them."""
+
+    def test_one_ballot_matches_per_weight_votes(self, planned):
+        scn, result, _ = planned
+        _, _, lattice = pipeline_mod._sweep_points(scn, {"kind": "coefficients", "spacing": 0.02})
+        assert len(lattice) == 1326
+        picks = votes(result.front, lattice)
+        assert len(set(picks)) > 1
+        assert picks == [vote(result.front, w) for w in lattice]
+
+    def test_member_metrics_once_per_selected_member(self, tmp_path, monkeypatch):
+        scored = []
+        member_metrics = pipeline_mod._member_metrics
+
+        def counted(scn, ind, env):
+            scored.append(ind.decision.tobytes())
+            return member_metrics(scn, ind, env)
+
+        monkeypatch.setattr(pipeline_mod, "_member_metrics", counted)
+        table = sweep(make_corridor_scenario(tmp_path, n_gen=60), {"kind": "coefficients"})
+        selected = set(table.selected_index.tolist())
+        assert len(selected) > 1
+        assert len(scored) == len(set(scored)) == len(selected) == len(table.metrics)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [{"kind": "coefficients", "spacing": 0.1}, {"kind": "risk", "axis": "wind", "step": 0.25}],
+        ids=["coefficients", "risk"],
+    )
+    def test_rows_match_per_point_rows(self, tmp_path, spec):
+        scn = make_corridor_scenario(tmp_path, n_gen=60)
+        table = sweep(scn, spec)
+        env = build_scenario_environment(scn)
+        front = plan(scn, env=env).front
+        axis, values, weights = pipeline_mod._sweep_points(scn, spec)
+        rows = []
+        for p, w in enumerate(weights):
+            index = vote(front, w)
+            rows.append({
+                **({} if axis is None else {"axis": axis, "value": values[p]}),
+                "k_time": w.k_time, "k_safety": w.k_safety, "k_energy": w.k_energy,
+                "selected_index": index, **pipeline_mod._member_metrics(scn, front[index], env),
+            })
+
+        assert len(table) == len(rows)
+        assert table == rows and list(table) == rows
+        assert table[-1] == rows[-1] and table[-len(rows)] == rows[0]
+        assert table[1:3] == rows[1:3]
+        with pytest.raises(IndexError):
+            table[len(rows)]
+        for got, want in zip(table, rows):
+            assert list(got) == list(want)
+            assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+        assert table != rows[:-1]
+        assert table != [*rows[:-1], {**rows[-1], "k_time": -1.0}]
+        table[0]["k_time"] = -1.0  # a row is a new dict on every access
+        assert table[0] == rows[0]
 
 
 def synthetic_dataset(rng, truth, n_extra=36, noise=0.0):

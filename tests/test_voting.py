@@ -14,6 +14,7 @@ from riskplan.voting import (
     adjust_coefficients,
     rank_objectives,
     vote,
+    votes,
 )
 
 
@@ -36,6 +37,27 @@ def direct_weights(k_time, k_safety, k_energy):
         baseline_energy=k_energy,
         gamma=1.0,
     )
+
+
+def per_column_vote(front, weights):
+    """The vote as it was before ``votes``, kept as the reference: ranks
+    one cost column at a time, tie-break columns from the cost vectors."""
+    cost_vectors = [ind.costs for ind in front]
+    costs = np.array([c.as_array() for c in cost_vectors])
+    ranks = np.empty_like(costs, dtype=int)
+    for col in range(costs.shape[1]):
+        column = costs[:, col]
+        ranks[:, col] = (column[None, :] < column[:, None]).sum(axis=1)
+    scores = ranks @ np.array([weights.k_time, weights.k_safety, weights.k_energy])
+    safety = np.array([c.safety for c in cost_vectors])
+    time = np.array([c.time_s for c in cost_vectors])
+    return int(np.lexsort((np.arange(len(front)), time, safety, scores))[0])
+
+
+# The 0.02 lattice of the benchmark's sweep: 1326 weight sets.
+LATTICE = [
+    direct_weights(i / 50, j / 50, (50 - i - j) / 50) for i in range(51) for j in range(51 - i)
+]
 
 
 class TestAdjustCoefficients:
@@ -194,3 +216,33 @@ class TestVote:
     def test_empty_front(self):
         with pytest.raises(ValidationError):
             vote([], direct_weights(1, 0, 0))
+
+
+class TestVotes:
+    def test_one_ballot_matches_per_weight_votes_on_ties(self):
+        # Costs from {0, 1, 2}: repeated members, tied ranks in every
+        # column and tied scores, so each tie-break key decides some picks.
+        rng = np.random.default_rng(3)
+        front = members([cv(*c) for c in rng.integers(0, 3, size=(30, 3)).astype(float)])
+        ranks = rank_objectives([m.costs for m in front])
+        tied = sum(
+            np.count_nonzero(s == s.min()) > 1
+            for s in (ranks @ np.array([w.k_time, w.k_safety, w.k_energy]) for w in LATTICE)
+        )
+        assert tied > 0
+        picks = votes(front, LATTICE)
+        assert picks == [vote(front, w) for w in LATTICE]
+        assert picks == [per_column_vote(front, w) for w in LATTICE]
+
+    def test_matches_reference_on_random_fronts(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 7, 40):
+            front = members([cv(*c) for c in rng.uniform(0, 5, size=(n, 3))])
+            assert votes(front, LATTICE) == [per_column_vote(front, w) for w in LATTICE]
+
+    def test_no_weights_no_picks(self):
+        assert votes(members([cv(1, 1, 1)]), []) == []
+
+    def test_empty_front(self):
+        with pytest.raises(ValidationError):
+            votes([], LATTICE)

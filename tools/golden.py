@@ -35,7 +35,9 @@ The set:
   computed branch of ``costs._hull_cost_batch`` are covered;
 - the corridor with 100 generations, seeds 7 and 8: ``sweep.csv`` of the
   ``coefficients`` sweep at spacing 0.02 and of the ``wind`` risk sweep at
-  step 0.25 (both re-vote on one planned front);
+  step 0.25 (both re-vote on one planned front), and the rows ``sweep``
+  returns, as ``json.dumps`` of one dict per row, so the library's return
+  value is pinned as well as the file;
 - the cost and the violation bytes of ``moo.evaluate_batch`` on a fixed,
   seeded population of 200 rows on the corridor and on city world 9. The
   plans rarely reach the edge branches of scoring, so the population
@@ -227,8 +229,10 @@ def main(argv=None) -> int:
         for label, spec in SWEEPS.items():
             for seed in SEEDS:
                 run = f"sweep-{label}-{seed}"
-                sweep(replace(short, rng_seed=seed), spec, out_dir=out / run)
+                rows = sweep(replace(short, rng_seed=seed), spec, out_dir=out / run)
                 print(f"{_digest(out / run / 'sweep.csv')}  {run}/sweep.csv", flush=True)
+                digest = hashlib.sha256(json.dumps([dict(r) for r in rows]).encode()).hexdigest()
+                print(f"{digest}  {run}/rows", flush=True)
     return 0
 
 
