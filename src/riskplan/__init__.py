@@ -34,7 +34,7 @@ from .pipeline import PlanResult, SweepTable, plan, sweep
 from .power import PowerQuadricModel, PowerSample, fit_quadric
 from .scenario import Hyperparams, Scenario, load_scenario
 from .seeding import SeedingParams, find_seed_path, initial_population
-from .voting import RiskState, VoteWeights, adjust_coefficients, rank_objectives, vote, votes
+from .voting import RiskState, VoteWeights, adjust_coefficients, vote, votes
 
 __version__ = "0.1.0"
 
@@ -76,7 +76,6 @@ __all__ = [
     "make_clamped_uniform_knots",
     "make_context",
     "plan",
-    "rank_objectives",
     "run_nsga2",
     "sample_uniform",
     "sweep",

@@ -11,8 +11,9 @@ same evaluator ``nurbs.sample_uniform`` uses, so a decoded member samples to
 exactly the points that were scored; every ``costs`` kernel reads the planes.
 
 ``make_context`` builds once per plan what a plan never changes: the basis
-rows of the sample parameters, their band of non-zero values
-(``nurbs.basis_band``) and the hulls' cull boxes (``costs.hull_cull_boxes``).
+rows of the sample parameters with their band of non-zero values, from one
+``nurbs.basis_rows`` call, and the hulls' cull boxes
+(``costs.hull_cull_boxes``).
 Both the decode and the hull cost skip exact zeros: the blend sums only each
 row's band, and ``costs._hull_cost_batch`` evaluates a hull only on the
 trajectories that come within ``r_ch_max`` (plus a rounding slack) of it.
@@ -41,8 +42,7 @@ from .environment import Environment, SafetyParams
 from .errors import DecodeError, ValidationError
 from .nurbs import (
     NurbsCurve4D,
-    basis_band,
-    basis_matrix,
+    basis_rows,
     make_clamped_uniform_knots,
     rational_blend,
 )
@@ -237,7 +237,7 @@ def make_context(
     n_ctrl = n_interior + 2
     knots = make_clamped_uniform_knots(n_ctrl, degree)
     params = np.linspace(knots[degree], knots[-degree - 1], n_samples)
-    basis = basis_matrix(knots, degree, params)
+    basis, band = basis_rows(knots, degree, params)
     bounds = build_bounds(env.domain, n_interior, v_floor, weight_bounds)
     return EvaluationContext(
         env=env,
@@ -251,7 +251,7 @@ def make_context(
         v_floor=v_floor,
         bounds=bounds,
         basis=basis,
-        band=basis_band(basis),
+        band=band,
         hull_boxes=costs_mod.hull_cull_boxes(env.hulls, safety.r_ch_max),
     )
 

@@ -1,12 +1,12 @@
 """Rational B-spline curves over (x, y, z, speed-norm).
 
 Basis evaluation follows the classic knot-span recurrence (The NURBS Book,
-algorithms A2.1 and A2.2). Curves have one evaluator: the basis rows of the
-sample parameters times the weighted control net (``rational_blend``).
-``sample_uniform`` and the optimizer's batch decode both call it, so an
-emitted sample set is bit-identical to the one the optimizer scored. Curves
-are immutable values and evaluation is pure, so sampling can run
-concurrently.
+algorithm A2.2), vectorised over the sample parameters by ``basis_rows``.
+Curves have one evaluator: the basis rows of the sample parameters times the
+weighted control net (``rational_blend``). ``sample_uniform`` and the
+optimizer's batch decode both call it, so an emitted sample set is
+bit-identical to the one the optimizer scored. Curves are immutable values
+and evaluation is pure, so sampling can run concurrently.
 
 The evaluator works in per-coordinate planes: the control net comes in as
 (4, N, C) planes of x, y, z and speed, and the samples go out as (4, N, Q)
@@ -14,13 +14,13 @@ planes, so every step reads and writes contiguous rows. A single curve is a
 one-member plane view.
 
 By local support (The NURBS Book, section 2.2) a basis row has at most
-degree+1 non-zero values, in adjacent columns: the row's band, which
-``basis_band`` finds. The basis and its band are fixed by the knots and the
-sample parameters, so the optimizer builds both once per plan
-(``moo.make_context``). ``rational_blend`` sums the numerator over the band
-only, in increasing column order from zero, which is the order of a dense
-sequential sum; every skipped term is an exact zero, so the sums keep the
-bits of the dense sum.
+degree+1 non-zero values, in the adjacent columns of its knot span: the
+row's band, which ``basis_rows`` returns with the basis. Both are fixed by
+the knots and the sample parameters, so the optimizer builds them once per
+plan (``moo.make_context``). ``rational_blend`` sums the numerator over the
+band only, in increasing column order from zero, which is the order of a
+dense sequential sum; every skipped term is an exact zero, so the sums keep
+the bits of the dense sum.
 """
 
 from __future__ import annotations
@@ -30,51 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterRangeError, ValidationError
-
-
-def find_span(knots: np.ndarray, degree: int, u: float) -> int:
-    """Index i such that knots[i] <= u < knots[i+1] (last span at u_max)."""
-    n = len(knots) - degree - 2  # index of the last control point
-    if u >= knots[n + 1]:
-        return n
-    if u <= knots[degree]:
-        return degree
-    low, high = degree, n + 1
-    mid = (low + high) // 2
-    while u < knots[mid] or u >= knots[mid + 1]:
-        if u < knots[mid]:
-            high = mid
-        else:
-            low = mid
-        mid = (low + high) // 2
-    return mid
-
-
-def basis_functions(knots, degree: int, u: float) -> tuple[np.ndarray, int]:
-    """The degree+1 nonzero basis values at u and the knot span index.
-
-    Values are >= 0 and sum to 1 (partition of unity). u must lie in the
-    clamped parameter range [knots[degree], knots[-degree-1]].
-    """
-    knots = np.asarray(knots, dtype=float)
-    lo, hi = knots[degree], knots[-degree - 1]
-    if not lo <= u <= hi:  # also rejects NaN
-        raise ParameterRangeError(f"parameter {u} outside curve range [{lo}, {hi}]")
-    span = find_span(knots, degree, u)
-    values = np.zeros(degree + 1)
-    values[0] = 1.0
-    left = np.zeros(degree + 1)
-    right = np.zeros(degree + 1)
-    for j in range(1, degree + 1):
-        left[j] = u - knots[span + 1 - j]
-        right[j] = knots[span + j] - u
-        saved = 0.0
-        for r in range(j):
-            temp = values[r] / (right[r + 1] + left[j - r])
-            values[r] = saved + right[r + 1] * temp
-            saved = left[j - r] * temp
-        values[j] = saved
-    return values, span
 
 
 def make_clamped_uniform_knots(n_ctrl: int, degree: int) -> np.ndarray:
@@ -92,19 +47,52 @@ def make_clamped_uniform_knots(n_ctrl: int, degree: int) -> np.ndarray:
     return np.concatenate([np.zeros(degree + 1), interior, np.ones(degree + 1)])
 
 
-def basis_matrix(knots, degree: int, params: np.ndarray) -> np.ndarray:
-    """Dense matrix B with B[j, i] = N_{i,degree}(params[j]).
+def basis_rows(knots, degree: int, params) -> tuple[np.ndarray, tuple]:
+    """The basis matrix of ``params`` and its band: ``(basis, (cols, values))``.
 
-    One row per parameter value; used to batch curve evaluation as a
-    matrix product.
+    ``basis`` (Q, C) holds B[q, i] = N_{i,degree}(params[q]). By local
+    support (The NURBS Book, section 2.2) row q is non-zero only in the
+    degree+1 columns ``cols[:, q]`` of its knot span, whose values are
+    ``values[:, q]``; both are (degree+1, Q), in increasing column order.
+    The spans come from one ``searchsorted``, and the values from the A2.2
+    recurrence run one degree step at a time over all parameters, with the
+    scalar recurrence's operations in its order, so each value has its bits.
+    Every parameter must lie in the clamped range
+    [knots[degree], knots[-degree-1]].
     """
     knots = np.asarray(knots, dtype=float)
+    u = np.asarray(params, dtype=float)
+    lo, hi = knots[degree], knots[-degree - 1]
+    outside = ~((lo <= u) & (u <= hi))  # also catches NaN
+    if outside.any():
+        raise ParameterRangeError(
+            f"parameter {u[outside.argmax()]} outside curve range [{lo}, {hi}]"
+        )
     n_ctrl = len(knots) - degree - 1
-    mat = np.zeros((len(params), n_ctrl))
-    for j, u in enumerate(np.asarray(params, dtype=float)):
-        values, span = basis_functions(knots, degree, u)
-        mat[j, span - degree : span + 1] = values
-    return mat
+    span = np.clip(np.searchsorted(knots, u, side="right") - 1, degree, n_ctrl - 1)
+    values = np.zeros((degree + 1, len(u)))
+    values[0] = 1.0
+    left = np.zeros_like(values)
+    right = np.zeros_like(values)
+    for j in range(1, degree + 1):
+        left[j] = u - knots[span + 1 - j]
+        right[j] = knots[span + j] - u
+        saved = 0.0
+        for r in range(j):
+            temp = values[r] / (right[r + 1] + left[j - r])
+            values[r] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        values[j] = saved
+    cols = span - degree + np.arange(degree + 1)[:, None]
+    basis = np.zeros((len(u), n_ctrl))
+    basis[np.arange(len(u)), cols] = values
+    return basis, (cols, values)
+
+
+def basis_matrix(knots, degree: int, params: np.ndarray) -> np.ndarray:
+    """Dense matrix B with B[q, i] = N_{i,degree}(params[q]): the basis of
+    ``basis_rows`` without its band."""
+    return basis_rows(knots, degree, params)[0]
 
 
 @dataclass(frozen=True)
@@ -148,31 +136,14 @@ class NurbsCurve4D:
         return float(self.knots[self.degree]), float(self.knots[-self.degree - 1])
 
 
-def basis_band(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The band of a basis matrix (Q, C): columns and values (width, Q).
-
-    ``width`` adjacent columns hold every non-zero of each row; the widest
-    row sets ``width``, which for a B-spline basis is at most degree+1.
-    Column ``cols[k, q]`` holds value ``values[k, q]`` of row q, in
-    increasing column order. A band is fixed by the knots and the sample
-    parameters, so a plan builds it once, with its basis.
-    """
-    n_cols = basis.shape[1]
-    nonzero = basis != 0
-    first = nonzero.argmax(axis=1)
-    width = n_cols - int((nonzero[:, ::-1].argmax(axis=1) + first).min())
-    cols = np.minimum(first, n_cols - width) + np.arange(width)[:, None]
-    return cols, basis.take(cols + np.arange(0, basis.size, n_cols))
-
-
 def rational_blend(
     basis: np.ndarray, band: tuple, weights: np.ndarray, net: np.ndarray
 ) -> np.ndarray:
     """Planes (D, N, Q) of the points of N curves sharing one knot vector.
 
     ``basis`` (Q, C) holds the basis rows of the Q parameters and ``band``
-    their ``basis_band``; ``weights`` (N, C) and ``net`` (D, N, C) hold the
-    control nets, one plane per coordinate. Each point is
+    their band, both from ``basis_rows``; ``weights`` (N, C) and ``net``
+    (D, N, C) hold the control nets, one plane per coordinate. Each point is
     sum_i N_i w_i P_i / sum_i N_i w_i. The first and last rows must be the
     ends of the parameter range: clamped ends interpolate the end control
     points, which are copied exactly.
@@ -186,7 +157,7 @@ def rational_blend(
     """
     cols, values = band
     den = np.einsum("qc,nc->nq", basis, weights)
-    weighted = values * weights[:, cols]  # (N, width, Q)
+    weighted = values * weights[:, cols]  # (N, degree+1, Q)
     num = np.zeros((len(net), len(weights), len(basis)))
     for k in range(len(cols)):
         num += weighted[:, k] * net.take(cols[k], axis=2)
@@ -217,9 +188,9 @@ def sample_uniform(curve: NurbsCurve4D, n_samples: int) -> TrajectorySamples:
     if n_samples < 2:
         raise ValidationError("n_samples must be >= 2")
     params = np.linspace(*curve.param_range, n_samples)
-    basis = basis_matrix(curve.knots, curve.degree, params)
+    basis, band = basis_rows(curve.knots, curve.degree, params)
     net = curve.control_points.T[:, None]  # one-member planes (4, 1, C)
-    points = rational_blend(basis, basis_band(basis), curve.weights[None], net)[:, 0]
+    points = rational_blend(basis, band, curve.weights[None], net)[:, 0]
     positions = points[:3].T
     speeds = points[3]
     segment_lengths = np.linalg.norm(np.diff(positions, axis=0), axis=1)

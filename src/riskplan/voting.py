@@ -14,7 +14,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .costs import CostVector
 from .errors import ValidationError
 
 BASELINES = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)  # (time, safety, energy)
@@ -88,17 +87,6 @@ def _competition_ranks(costs: np.ndarray) -> np.ndarray:
     the count is a sum over the last axis."""
     planes = np.ascontiguousarray(costs.T)
     return np.ascontiguousarray((planes[:, None, :] < planes[:, :, None]).sum(axis=2).T)
-
-
-def rank_objectives(front: Sequence[CostVector]) -> np.ndarray:
-    """Per-objective competition ranks, shape (N, 3), 0 = best (lowest cost).
-
-    Equal costs share a rank and the next rank is skipped, i.e. the rank is
-    the number of strictly better competitors.
-    """
-    if not front:
-        raise ValidationError("cannot rank an empty front")
-    return _competition_ranks(np.array([(cv.time_s, cv.safety, cv.energy_j) for cv in front]))
 
 
 def votes(front: Sequence, weights_seq: Iterable[VoteWeights]) -> list[int]:

@@ -8,14 +8,58 @@ from scipy.optimize import linprog
 from riskplan.errors import ParameterRangeError, ValidationError
 from riskplan.nurbs import (
     NurbsCurve4D,
-    basis_functions,
     basis_matrix,
-    find_span,
+    basis_rows,
     make_clamped_uniform_knots,
-    basis_band,
     rational_blend,
     sample_uniform,
 )
+
+
+def find_span(knots, degree, u):
+    """Reference span search (The NURBS Book, A2.1): the index i with
+    knots[i] <= u < knots[i+1], the last span at u_max."""
+    n = len(knots) - degree - 2  # index of the last control point
+    if u >= knots[n + 1]:
+        return n
+    if u <= knots[degree]:
+        return degree
+    low, high = degree, n + 1
+    mid = (low + high) // 2
+    while u < knots[mid] or u >= knots[mid + 1]:
+        if u < knots[mid]:
+            high = mid
+        else:
+            low = mid
+        mid = (low + high) // 2
+    return mid
+
+
+def basis_functions(knots, degree, u):
+    """Reference scalar basis (The NURBS Book, A2.2): the degree+1 non-zero
+    basis values at one parameter u and its knot span."""
+    knots = np.asarray(knots, dtype=float)
+    span = find_span(knots, degree, u)
+    values = np.zeros(degree + 1)
+    values[0] = 1.0
+    left = np.zeros(degree + 1)
+    right = np.zeros(degree + 1)
+    for j in range(1, degree + 1):
+        left[j] = u - knots[span + 1 - j]
+        right[j] = knots[span + j] - u
+        saved = 0.0
+        for r in range(j):
+            temp = values[r] / (right[r + 1] + left[j - r])
+            values[r] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        values[j] = saved
+    return values, span
+
+
+def band_of(knots, degree, u):
+    """The (cols, values) of ``basis_rows`` at one parameter."""
+    _, (cols, values) = basis_rows(knots, degree, [u])
+    return cols[:, 0], values[:, 0]
 
 
 def make_curve(ctrl, weights=None, degree=3):
@@ -48,35 +92,34 @@ def s_curve():
 
 class TestBasisFunctions:
     def test_linear_interpolation_basis(self):
-        values, span = basis_functions([0, 0, 1, 1], 1, 0.5)
+        cols, values = band_of([0, 0, 1, 1], 1, 0.5)
         assert values == pytest.approx([0.5, 0.5])
-        assert span == 1
+        assert cols[-1] == 1  # the span
 
     def test_degree2_bernstein(self):
         # Single-span quadratic equals the Bernstein polynomials.
-        values, _ = basis_functions([0, 0, 0, 1, 1, 1], 2, 0.5)
+        _, values = band_of([0, 0, 0, 1, 1, 1], 2, 0.5)
         assert values == pytest.approx([0.25, 0.5, 0.25], abs=1e-15)
 
     def test_partition_of_unity_random(self):
         rng = np.random.default_rng(42)
         knots = make_clamped_uniform_knots(9, 3)
-        for u in rng.uniform(0, 1, 1000):
-            values, _ = basis_functions(knots, 3, u)
-            assert abs(values.sum() - 1.0) < 1e-12
-            assert np.all(values >= 0)
+        _, (_, values) = basis_rows(knots, 3, rng.uniform(0, 1, 1000))
+        assert np.all(np.abs(values.sum(axis=0) - 1.0) < 1e-12)
+        assert np.all(values >= 0)
 
     def test_out_of_range(self):
         with pytest.raises(ParameterRangeError):
-            basis_functions([0, 0, 0, 1, 1, 1], 2, 1.5)
+            basis_rows([0, 0, 0, 1, 1, 1], 2, [1.5])
 
     def test_nan_parameter(self):
         with pytest.raises(ParameterRangeError):
-            basis_functions(make_clamped_uniform_knots(6, 3), 3, np.nan)
+            basis_rows(make_clamped_uniform_knots(6, 3), 3, [np.nan])
 
     def test_span_at_endpoints(self):
         knots = make_clamped_uniform_knots(6, 3)
-        assert find_span(knots, 3, 0.0) == 3
-        assert find_span(knots, 3, 1.0) == 5
+        assert band_of(knots, 3, 0.0)[0][-1] == 3
+        assert band_of(knots, 3, 1.0)[0][-1] == 5
 
 
 class TestKnotConstruction:
@@ -148,12 +191,12 @@ class TestEvaluate:
         # active on its span; verified by LP feasibility.
         curve = s_curve()
         samples = sample_uniform(curve, 40)
-        p = curve.degree
-        for u, point in zip(np.linspace(*curve.param_range, 40), np.column_stack(
+        params = np.linspace(*curve.param_range, 40)
+        _, (cols, _) = basis_rows(curve.knots, curve.degree, params)
+        for u, active_cols, point in zip(params, cols.T, np.column_stack(
             [samples.positions, samples.speeds]
         )):
-            span = find_span(curve.knots, p, u)
-            active = curve.control_points[span - p : span + 1]
+            active = curve.control_points[active_cols]
             n_active = len(active)
             a_eq = np.vstack([active.T, np.ones(n_active)])
             b_eq = np.concatenate([point, [1.0]])
@@ -229,6 +272,28 @@ class TestBasisMatrix:
         values, span = basis_functions(knots, 3, params[7])
         assert mat[7, span - 3 : span + 1] == pytest.approx(values)
 
+    @pytest.mark.parametrize("degree", [2, 3, 4, 5])
+    def test_bit_identical_to_scalar_recurrence(self, degree):
+        rng = np.random.default_rng(degree)
+        for n_ctrl in range(degree + 1, 21):
+            knots = make_clamped_uniform_knots(n_ctrl, degree)
+            param_sets = [np.linspace(0.0, 1.0, n) for n in (2, 50, 200, 2000)]
+            param_sets += [rng.uniform(0.0, 1.0, 500), knots[degree:-degree]]
+            for params in param_sets:
+                want_cols = np.empty((degree + 1, len(params)), dtype=int)
+                want_values = np.empty((degree + 1, len(params)))
+                want = np.zeros((len(params), n_ctrl))
+                for q, u in enumerate(params):
+                    want_values[:, q], span = basis_functions(knots, degree, u)
+                    want_cols[:, q] = np.arange(span - degree, span + 1)
+                    want[q, want_cols[:, q]] = want_values[:, q]
+                basis, (cols, values) = basis_rows(knots, degree, params)
+                assert np.array_equal(cols, want_cols)
+                for got, ref in ((values, want_values), (basis, want),
+                                 (basis_matrix(knots, degree, params), want)):
+                    assert np.array_equal(got, ref)
+                    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
 
 def reference_blend(basis, weights, control_points):
     """The dense form of ``rational_blend``: one three-operand einsum for the
@@ -264,10 +329,13 @@ class TestRationalBlend:
         rng = np.random.default_rng(100 * degree + n_curves)
         for n_ctrl in range(degree + 1, 23):
             knots = make_clamped_uniform_knots(n_ctrl, degree)
-            for n_samples in (2, 50, 200):
-                basis = basis_matrix(knots, degree, np.linspace(0.0, 1.0, n_samples))
+            # The knot values: every row's band has an exact zero at an edge.
+            param_sets = [np.linspace(0.0, 1.0, n) for n in (2, 50, 200, 2000)]
+            param_sets.append(knots[degree:-degree])
+            for params in param_sets:
+                basis, band = basis_rows(knots, degree, params)
                 weights, ctrl = self.net(rng, n_curves, n_ctrl)
-                got = rational_blend(basis, basis_band(basis), weights, planes(ctrl))
+                got = rational_blend(basis, band, weights, planes(ctrl))
                 want = planes(reference_blend(basis, weights, ctrl))
                 assert got.flags.c_contiguous
                 assert np.array_equal(got, want)
@@ -277,14 +345,15 @@ class TestRationalBlend:
     def test_non_finite_weight_matches_dense_sum(self, bad):
         rng = np.random.default_rng(5)
         knots = make_clamped_uniform_knots(9, 3)
-        basis = basis_matrix(knots, 3, np.linspace(0.0, 1.0, 50))
-        weights, ctrl = self.net(rng, 6, 9)
-        weights[1, 0] = bad
-        weights[3, 4] = bad
-        weights[5, 8] = bad
-        with np.errstate(invalid="ignore"):
-            got = rational_blend(basis, basis_band(basis), weights, planes(ctrl))
-            want = planes(reference_blend(basis, weights, ctrl))
-        assert np.array_equal(np.isnan(got), np.isnan(want))
-        assert np.isnan(got[:, [1, 3, 5], 1:-1]).all()
-        assert np.array_equal(got, want, equal_nan=True)
+        for params in (np.linspace(0.0, 1.0, 50), knots[3:-3]):
+            basis, band = basis_rows(knots, 3, params)
+            weights, ctrl = self.net(rng, 6, 9)
+            weights[1, 0] = bad
+            weights[3, 4] = bad
+            weights[5, 8] = bad
+            with np.errstate(invalid="ignore"):
+                got = rational_blend(basis, band, weights, planes(ctrl))
+                want = planes(reference_blend(basis, weights, ctrl))
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert np.isnan(got[:, [1, 3, 5], 1:-1]).all()
+            assert np.array_equal(got, want, equal_nan=True)

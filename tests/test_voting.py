@@ -11,8 +11,8 @@ from riskplan.moo import make_individual
 from riskplan.voting import (
     RiskState,
     VoteWeights,
+    _competition_ranks,
     adjust_coefficients,
-    rank_objectives,
     vote,
     votes,
 )
@@ -20,6 +20,11 @@ from riskplan.voting import (
 
 def cv(t, s, e):
     return CostVector(time_s=t, safety=s, energy_j=e)
+
+
+def ranks_of(cost_vectors):
+    """Per-objective competition ranks of the cost vectors, (N, 3)."""
+    return _competition_ranks(np.array([c.as_array() for c in cost_vectors]))
 
 
 def members(cost_vectors):
@@ -140,19 +145,15 @@ class TestAdjustCoefficients:
 
 class TestRankObjectives:
     def test_ascending(self):
-        ranks = rank_objectives([cv(1, 1, 1), cv(2, 2, 2), cv(3, 3, 3)])
+        ranks = _competition_ranks(np.array([[1.0, 1, 1], [2, 2, 2], [3, 3, 3]]))
         assert np.array_equal(ranks[:, 0], [0, 1, 2])
 
     def test_competition_ties(self):
-        ranks = rank_objectives([cv(5, 0, 0), cv(5, 1, 1), cv(7, 2, 2)])
+        ranks = _competition_ranks(np.array([[5.0, 0, 0], [5, 1, 1], [7, 2, 2]]))
         assert np.array_equal(ranks[:, 0], [0, 0, 2])
 
     def test_single(self):
-        assert np.array_equal(rank_objectives([cv(4, 2, 9)]), [[0, 0, 0]])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            rank_objectives([])
+        assert np.array_equal(_competition_ranks(np.array([[4.0, 2, 9]])), [[0, 0, 0]])
 
 
 class TestVote:
@@ -172,7 +173,7 @@ class TestVote:
         # weights that produce a score tie between members
         w = direct_weights(0.5, 0.0, 0.5)
         index = vote(members(front), w)
-        scores = rank_objectives(front) @ np.array([0.5, 0.0, 0.5])
+        scores = ranks_of(front) @ np.array([0.5, 0.0, 0.5])
         tied = np.flatnonzero(scores == scores.min())
         assert index in tied
         safeties = [front[i].safety for i in tied]
@@ -196,7 +197,7 @@ class TestVote:
         for _ in range(40):
             n = int(rng.integers(2, 11))
             front = [cv(*c) for c in rng.uniform(0, 5, size=(n, 3))]
-            ranks = rank_objectives(front)
+            ranks = ranks_of(front)
             for weights in grid:
                 index = vote(members(front), direct_weights(*weights))
                 k = np.asarray(weights)
@@ -224,7 +225,7 @@ class TestVotes:
         # column and tied scores, so each tie-break key decides some picks.
         rng = np.random.default_rng(3)
         front = members([cv(*c) for c in rng.integers(0, 3, size=(30, 3)).astype(float)])
-        ranks = rank_objectives([m.costs for m in front])
+        ranks = ranks_of([m.costs for m in front])
         tied = sum(
             np.count_nonzero(s == s.min()) > 1
             for s in (ranks @ np.array([w.k_time, w.k_safety, w.k_energy]) for w in LATTICE)

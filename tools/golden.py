@@ -24,6 +24,11 @@ The set:
   where every sum of squared axis distances is exact, so the corridor and
   city world 7 fields are also taken at 0.37, where a change in summation
   order shows;
+- the bytes of ``nurbs.basis_matrix`` at the plans' shapes: degree 3, the
+  control-point counts of the corridor plans (6) and of the city worlds
+  (11 and 12), each at 50 and 200 parameters (the corridor's and the city's
+  sample counts) and at the 2000 of the benchmark's dense oracle
+  (``perfbench/oracle.py``), which no plan result pins;
 - ``scenarios/corridor.json`` at rng seeds 7 and 8 (its 1000 generations):
   ``pareto.json``, ``trajectory.csv``, ``generations.csv``; then each
   ``pareto.json`` read back with ``pipeline.load_front`` and re-voted at
@@ -74,6 +79,7 @@ SWEEP_N_GEN = 100
 # Picked so that the selections differ: members 0, 14, 14, 10 at seed 7
 # and 0, 39, 24, 0 at seed 8; most risk states select member 0.
 REVOTE_RISKS = ((0, 0, 0, 1), (0, 1, 1, 0), (0.25, 0.75, 1, 0), (0.5, 0.75, 0.5, 0))
+BASIS_CTRL = (6, 11, 12)  # corridor seeds 7 and 8: 6; city world 8: 11; worlds 7 and 9: 12
 EDGE_ROWS = 200
 EDGE_INTERIOR = 5
 EDGE_WORLDS = ("corridor", "city-9")
@@ -157,8 +163,10 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 
     import city
+    from oracle import DENSE_SAMPLES
     from riskplan.environment import build_environment
     from riskplan.moo import evaluate_batch, make_context
+    from riskplan.nurbs import basis_matrix, make_clamped_uniform_knots
     from riskplan.pipeline import load_front, plan, sweep
     from riskplan.power import fit_quadric, load_power_samples
     from riskplan.scenario import load_scenario, run_settings, scenario_from_dict
@@ -192,6 +200,14 @@ def main(argv=None) -> int:
         dims = "x".join(str(n) for n in distance.shape)
         digest = hashlib.sha256(distance.tobytes()).hexdigest()
         print(f"{digest}  field/{label} dims={dims}", flush=True)
+
+    degree = corridor.hyper.degree
+    for n_ctrl in BASIS_CTRL:
+        knots = make_clamped_uniform_knots(n_ctrl, degree)
+        for n_params in (50, 200, DENSE_SAMPLES):
+            params = np.linspace(knots[degree], knots[-degree - 1], n_params)
+            digest = hashlib.sha256(basis_matrix(knots, degree, params).tobytes()).hexdigest()
+            print(f"{digest}  basis/degree={degree} ctrl={n_ctrl} params={n_params}", flush=True)
 
     for label in EDGE_WORLDS:
         scn, h = fields[label], fields[label].hyper
