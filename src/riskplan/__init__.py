@@ -23,6 +23,7 @@ from .moo import (
     Bounds,
     EvaluatedIndividual,
     EvaluationContext,
+    Front,
     MooParams,
     decode,
     evaluate,
@@ -48,6 +49,7 @@ __all__ = [
     "Environment",
     "EvaluatedIndividual",
     "EvaluationContext",
+    "Front",
     "Hyperparams",
     "MooParams",
     "NurbsCurve4D",

@@ -59,8 +59,6 @@ def _cmd_plan(args) -> int:
 
 def _cmd_vote(args) -> int:
     front, _context = load_front(args.front)
-    if not front:
-        raise ValidationError(f"{args.front}: front is empty")
     risks = _parse_risks(args.risks)
     weights = adjust_coefficients(risks)
     index = vote(front, weights)

@@ -24,8 +24,8 @@ Constraint handling is the feasibility-first dominance rule: feasible beats
 infeasible, infeasible compare on total violation. Ranking is by front, then
 by crowding distance (Deb et al. 2002), in one loop, ``_rank_and_crowding``.
 
-The generational loop works on plain arrays for speed; ``make_individual``
-builds the dataclass members that cross the module boundary.
+The generational loop works on plain arrays for speed and returns a ``Front``
+of columns; indexing a ``Front`` is the one place a member object is built.
 """
 
 from __future__ import annotations
@@ -159,16 +159,26 @@ class EvaluatedIndividual:
         return self.constraints.feasible
 
 
-def make_individual(decision, cost_row, violation_row) -> EvaluatedIndividual:
-    """A front member from its decision vector, (time, safety, energy) costs
-    and (acceleration, collision) violations; values are copied as floats."""
-    time_s, safety, energy_j = (float(v) for v in cost_row)
-    accel, collision = (float(v) for v in violation_row)
-    return EvaluatedIndividual(
-        decision=np.array(decision, dtype=float),
-        costs=CostVector(time_s=time_s, safety=safety, energy_j=energy_j),
-        constraints=ConstraintReport(max_accel_violation=accel, collision_violation=collision),
-    )
+@dataclass(frozen=True, eq=False)
+class Front:
+    """Front members as float64 columns, row m for member m: ``decisions`` (M, D),
+    ``costs`` (M, 3) of (time, safety, energy), ``violations`` (M, 2) of (accel,
+    collision). ``front[m]`` builds its ``EvaluatedIndividual`` of Python floats."""
+
+    decisions: np.ndarray
+    costs: np.ndarray
+    violations: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.costs)
+
+    def __getitem__(self, m: int) -> EvaluatedIndividual:
+        m = range(len(self))[m]  # negative indices, IndexError
+        return EvaluatedIndividual(
+            self.decisions[m].copy(),
+            CostVector(*self.costs[m].tolist()),
+            ConstraintReport(*self.violations[m].tolist()),
+        )
 
 
 @dataclass(frozen=True)
@@ -311,9 +321,8 @@ def evaluate_batch(decisions: np.ndarray, ctx: EvaluationContext) -> tuple[np.nd
 
 def evaluate(decision: np.ndarray, ctx: EvaluationContext) -> EvaluatedIndividual:
     """Score one decision vector (thin wrapper over the batch path)."""
-    decision = np.asarray(decision, dtype=float)
-    cost_arr, viol = evaluate_batch(decision[None, :], ctx)
-    return make_individual(decision, cost_arr[0], viol[0])
+    rows = np.asarray(decision, dtype=float)[None]
+    return Front(rows, *evaluate_batch(rows, ctx))[0]
 
 
 # --- non-dominated sorting and crowding -----------------------------------
@@ -586,11 +595,11 @@ def run_nsga2(
     seed_population: np.ndarray,
     params: MooParams,
     progress_sink: Optional[Callable[[GenerationStats], None]] = None,
-) -> list[EvaluatedIndividual]:
+) -> Front:
     """Full trajectory optimization; returns the feasible first front,
     deduplicated on objective vectors and sorted by (time, safety, energy).
 
-    An empty result means no feasible individual survived, which can only
+    An empty front means no feasible individual survived, which can only
     happen when the seed itself was infeasible.
     """
     def batch(decisions: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -604,9 +613,8 @@ def run_nsga2(
     feasible = viol_total <= 0.0
     if not feasible.any():
         log.warning("optimization ended with no feasible individual (infeasible seed?)")
-        return []
-    fronts = _fronts_from_arrays(cost_arr, viol_total, 1)
-    first = np.array([i for i in fronts[0] if feasible[i]], dtype=int)
+    first = _fronts_from_arrays(cost_arr, viol_total, 1)[0]
+    first = first[feasible[first]]
     kept = first[_dedup_front(cost_arr[first])]
-    order = np.lexsort((cost_arr[kept, 2], cost_arr[kept, 1], cost_arr[kept, 0]))
-    return [make_individual(pop[i], cost_arr[i], viol[i]) for i in kept[order]]
+    kept = kept[np.lexsort((cost_arr[kept, 2], cost_arr[kept, 1], cost_arr[kept, 0]))]
+    return Front(pop[kept], cost_arr[kept], viol[kept])

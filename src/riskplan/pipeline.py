@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import time as time_mod
 from collections.abc import Iterable, Sequence
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -30,14 +30,13 @@ from . import costs as costs_mod
 from .environment import Environment, build_environment
 from .errors import FitError, PlanningFailureError, ValidationError
 from .moo import (
-    EvaluatedIndividual,
     EvaluationContext,
+    Front,
     GenerationStats,
     MooParams,
     decode,
     interior_count,
     make_context,
-    make_individual,
     run_nsga2,
 )
 from .nurbs import TrajectorySamples, sample_uniform
@@ -55,6 +54,8 @@ from .voting import VoteWeights, adjust_coefficients, vote, votes
 CONSTRAINT_EMIT_TOL = 1e-9
 SWEEP_COUNT_TOL = 1e-9
 MAX_SWEEP_POINTS = 10**6
+COST_KEYS = ("time_s", "safety", "energy_j")  # pareto.json member fields
+VIOLATION_KEYS = ("max_accel_violation", "collision_violation")
 
 
 @dataclass(frozen=True)
@@ -84,11 +85,11 @@ class GenerationLog:
 
 @dataclass(frozen=True)
 class PlanResult:
-    """One plan: the deduplicated feasible front, the voted member and its
-    emitted samples, and the optimiser's ``GenerationLog``: two columns of
-    ``n_gen`` rows, front sizes (int64) and best costs (float64, (n_gen, 3))."""
+    """One plan: the deduplicated feasible ``moo.Front``, the voted member
+    and its emitted samples, and the optimiser's ``GenerationLog``: front
+    sizes (int64) and best costs (float64, (n_gen, 3)) of ``n_gen`` rows."""
 
-    front: list
+    front: Front
     selected_index: int
     weights: VoteWeights
     samples: TrajectorySamples
@@ -239,7 +240,7 @@ def plan(
     weights = adjust_coefficients(scn.risks)
     selected = vote(front, weights)
 
-    curve = decode(front[selected].decision, scn.start, scn.goal, scn.v_start, scn.v_goal, h.degree)
+    curve = decode(front.decisions[selected], scn.start, scn.goal, scn.v_start, scn.v_goal, h.degree)
     samples = sample_uniform(curve, h.n_nurbs)
     sample_times = trajectory_timeline(samples, h.v_floor)
     sample_powers = trajectory_powers(samples, power_model)
@@ -270,17 +271,15 @@ def plan(
     return result
 
 
-def _individual_to_dict(ind: EvaluatedIndividual) -> dict:
-    return {
-        "decision": [float(v) for v in ind.decision],
-        "costs": asdict(ind.costs),
-        "constraints": {**asdict(ind.constraints), "feasible": ind.feasible},
-    }
-
-
 def front_to_dict(result: PlanResult, scn: Scenario) -> dict:
+    front = result.front
+    members = zip(front.decisions.tolist(), front.costs.tolist(), front.violations.tolist())
     return {
-        "front": [_individual_to_dict(ind) for ind in result.front],
+        "front": [
+            {"decision": decision, "costs": dict(zip(COST_KEYS, costs)),
+             "constraints": {**dict(zip(VIOLATION_KEYS, viol)), "feasible": viol == [0.0, 0.0]}}
+            for decision, costs, viol in members
+        ],
         "selected_index": result.selected_index,
         "vote_weights": vote_weights_dict(result.weights),
         "context": {
@@ -349,44 +348,45 @@ def write_result(result: PlanResult, scn: Scenario, out_dir: Path) -> dict:
     }
 
 
-def _front_member(entry: dict, where: str, errors: list) -> Optional[EvaluatedIndividual]:
-    """The pareto.json member at ``where`` (``front[i]``), or None with each
-    decision entry, cost or violation that is not a finite JSON number
+def _front_member(entry: dict, where: str, errors: list) -> tuple[list, list, list]:
+    """The decision, costs and violations of the pareto.json member at
+    ``where`` (``front[i]``), with each that is not a finite JSON number
     (``scenario._type_problem``) reported by member and field."""
     decision = list(entry["decision"])
-    costs = {f"costs.{k}": entry["costs"][k] for k in ("time_s", "safety", "energy_j")}
-    violations = {
-        f"constraints.{k}": entry["constraints"][k]
-        for k in ("max_accel_violation", "collision_violation")
-    }
+    costs = {f"costs.{k}": entry["costs"][k] for k in COST_KEYS}
+    violations = {f"constraints.{k}": entry["constraints"][k] for k in VIOLATION_KEYS}
     named = {**{f"decision[{j}]": v for j, v in enumerate(decision)}, **costs, **violations}
-    problems = [
+    errors.extend(
         f"{where}.{name}: {problem}"
         for name, value in named.items()
         if (problem := _type_problem(value, float))
-    ]
-    errors.extend(problems)
-    return None if problems else make_individual(decision, costs.values(), violations.values())
+    )
+    return decision, list(costs.values()), list(violations.values())
 
 
-def load_front(path) -> tuple[list, dict]:
-    """Reload a pareto.json into EvaluatedIndividuals plus its context block.
+def load_front(path) -> tuple[Front, dict]:
+    """Reload a pareto.json into a ``moo.Front`` plus its context block.
 
     A missing or unreadable file, invalid JSON, or a missing ``front`` or
-    member field raises ValidationError. So does a decision entry, cost or
-    violation that is not a finite JSON number (a string, a bool, NaN or
-    an infinity), named as in ``front[3].costs.time_s``, one message each.
+    member field raises ValidationError. So do an empty front, a decision
+    of another length than ``front[0]``'s, and a decision entry, cost or
+    violation that is not a finite JSON number (a string, a bool, NaN or an
+    infinity), each named as in ``front[3].costs.time_s``, one message each.
     """
     errors: list[str] = []
     try:
         data = json.loads(Path(path).read_text())
-        entries = enumerate(data["front"])
-        front = [_front_member(entry, f"front[{i}]", errors) for i, entry in entries]
+        rows = [_front_member(entry, f"front[{i}]", errors) for i, entry in enumerate(data["front"])]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: not a readable Pareto front ({exc!r})") from exc
+    if not rows:
+        errors.append("front is empty")
+    for i, (decision, _, _) in enumerate(rows):
+        if len(decision) != len(rows[0][0]):
+            errors.append(f"front[{i}].decision: length {len(decision)}, not {len(rows[0][0])}")
     if errors:
         raise ValidationError([f"{path}: {problem}" for problem in errors])
-    return front, data.get("context", {})
+    return Front(*(np.array(column, dtype=float) for column in zip(*rows))), data.get("context", {})
 
 
 # --- sweeps -----------------------------------------------------------------
@@ -442,12 +442,13 @@ def _sweep_points(scn: Scenario, spec) -> tuple[Optional[str], Optional[list], l
     return axis, values, weights
 
 
-def _member_metrics(scn: Scenario, ind: EvaluatedIndividual, env: Environment) -> dict:
-    """Time and energy cost plus ``trajectory_metrics`` of one front member."""
-    curve = decode(ind.decision, scn.start, scn.goal, scn.v_start, scn.v_goal, scn.hyper.degree)
-    samples = sample_uniform(curve, scn.hyper.n_nurbs)
-    metrics = trajectory_metrics(samples, env, scn.hyper.v_floor)
-    return {"time_s": ind.costs.time_s, "energy_j": ind.costs.energy_j, **metrics}
+def _member_metrics(scn: Scenario, front: Front, m: int, env: Environment) -> dict:
+    """Time and energy cost plus ``trajectory_metrics`` of front member ``m``."""
+    h = scn.hyper
+    curve = decode(front.decisions[m], scn.start, scn.goal, scn.v_start, scn.v_goal, h.degree)
+    metrics = trajectory_metrics(sample_uniform(curve, h.n_nurbs), env, h.v_floor)
+    time_s, _, energy_j = front.costs[m].tolist()
+    return {"time_s": time_s, "energy_j": energy_j, **metrics}
 
 
 @dataclass(frozen=True, eq=False)
@@ -524,7 +525,7 @@ def sweep(
     table = SweepTable(
         k=np.array([(w.k_time, w.k_safety, w.k_energy) for w in weights]),
         selected_index=np.array(selected, dtype=np.int64),
-        metrics={i: _member_metrics(scn, front[i], env) for i in dict.fromkeys(selected)},
+        metrics={i: _member_metrics(scn, front, i, env) for i in dict.fromkeys(selected)},
         axis=axis,
         value=None if values is None else np.array(values, dtype=float),
     )

@@ -10,11 +10,12 @@ skipped).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ValidationError
+from .moo import Front
 
 BASELINES = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)  # (time, safety, energy)
 
@@ -89,18 +90,18 @@ def _competition_ranks(costs: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray((planes[:, None, :] < planes[:, :, None]).sum(axis=2).T)
 
 
-def votes(front: Sequence, weights_seq: Iterable[VoteWeights]) -> list[int]:
-    """For each of ``weights_seq``, the index of the front member (an
-    ``EvaluatedIndividual``) with the lowest weighted rank sum.
+def votes(front: Front, weights_seq: Iterable[VoteWeights]) -> list[int]:
+    """For each of ``weights_seq``, the index of the front member (a row of
+    ``front.costs``) with the lowest weighted rank sum.
 
-    One ballot serves every weight set: the cost matrix, its ranks and the
-    tie-break columns are built once per front. Ties break
+    One ballot serves every weight set: the ranks of the cost columns and
+    the tie-break columns are built once per front. Ties break
     deterministically: lower safety cost, then lower time cost, then lower
     index.
     """
     if not front:
         raise ValidationError("cannot vote on an empty front")
-    costs = np.array([(ind.costs.time_s, ind.costs.safety, ind.costs.energy_j) for ind in front])
+    costs = front.costs
     ranks = _competition_ranks(costs)
     index, time, safety = np.arange(len(front)), costs[:, 0], costs[:, 1]
     picks = []
@@ -110,6 +111,6 @@ def votes(front: Sequence, weights_seq: Iterable[VoteWeights]) -> list[int]:
     return picks
 
 
-def vote(front: Sequence, weights: VoteWeights) -> int:
+def vote(front: Front, weights: VoteWeights) -> int:
     """The index ``votes`` picks for one weight set."""
     return votes(front, [weights])[0]

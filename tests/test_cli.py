@@ -282,11 +282,17 @@ class TestVoteCommand:
                 json.dumps({"front": [{**member_entry(2.0), "decision": [1.0, float("nan")] * 3}]}),
                 "front[0].decision[5]: must be a finite number, got nan",
             ),
+            (json.dumps({"front": []}), "front is empty"),
+            (
+                json.dumps({"front": [member_entry(1.0), {**member_entry(2.0), "decision": [1.0] * 12}]}),
+                "front[1].decision: length 12, not 7",
+            ),
         ],
         ids=[
             "missing", "not-json", "no-front", "not-an-object", "null-cost", "text-cost",
             "numeric-string", "bool-cost", "text-decision", "bool-violation", "nan-cost",
-            "nan-cost-second-member", "infinite-violation", "nan-decision",
+            "nan-cost-second-member", "infinite-violation", "nan-decision", "empty-front",
+            "ragged-decision",
         ],
     )
     def test_unreadable_front_exit_code(self, tmp_path, capsys, content, message):

@@ -404,15 +404,12 @@ class TestRunNsga2:
         assert len(front) >= 2
         for ind in front:
             assert ind.constraints.feasible
-        objs = np.array([ind.costs.as_array() for ind in front])
-        viol = np.array(
-            [ind.constraints.max_accel_violation + ind.constraints.collision_violation for ind in front]
-        )
+        objs, viol = front.costs, front.violations.sum(axis=1)
         assert [f.tolist() for f in _fronts_from_arrays(objs, viol)] == [list(range(len(front)))]
 
     def test_front_objectives_deduplicated(self, corridor_run):
         _, result = corridor_run
-        objs = np.array([ind.costs.as_array() for ind in result.front])
+        objs = result.front.costs
         for i in range(len(objs)):
             for j in range(i + 1, len(objs)):
                 assert np.max(np.abs(objs[i] - objs[j])) > 1e-9
@@ -421,11 +418,8 @@ class TestRunNsga2:
         scn = make_corridor_scenario(tmp_path, n_gen=60)
         r1 = plan(scn)
         r2 = plan(scn)
-        o1 = np.array([ind.costs.as_array() for ind in r1.front])
-        o2 = np.array([ind.costs.as_array() for ind in r2.front])
-        assert np.array_equal(o1, o2)
-        for a, b in zip(r1.front, r2.front):
-            assert np.array_equal(a.decision, b.decision)
+        assert np.array_equal(r1.front.costs, r2.front.costs)
+        assert np.array_equal(r1.front.decisions, r2.front.decisions)
 
     def test_elitism_per_objective(self, corridor_run):
         _, result = corridor_run

@@ -11,9 +11,10 @@ import pytest
 
 from conftest import make_corridor_scenario, write_power_csv
 from riskplan.costs import check_constraints
+import riskplan.moo as moo_mod
 import riskplan.pipeline as pipeline_mod
 from riskplan.errors import FitError, ValidationError
-from riskplan.moo import GenerationStats, _decode_batch, decode, evaluate
+from riskplan.moo import Front, GenerationStats, _decode_batch, decode, evaluate
 from riskplan.nurbs import sample_uniform
 from riskplan.pipeline import (
     GenerationLog,
@@ -63,8 +64,7 @@ class TestPlanOutputs:
         # evaluator, so every member re-samples to the exact scored rows.
         scn, result, _ = planned
         ctx = result.context
-        decisions = np.array([ind.decision for ind in result.front])
-        planes = _decode_batch(decisions, ctx)
+        planes = _decode_batch(result.front.decisions, ctx)
         positions, speeds = planes[:3].transpose(1, 2, 0), planes[3]
         for i, ind in enumerate(result.front):
             curve = decode(
@@ -200,6 +200,53 @@ class TestGenerationLog:
         assert freed / n_gen <= 48
 
 
+class TestFront:
+    """The front is one columnar value from the optimiser to pareto.json and
+    every ballot; a member object is built only by indexing it."""
+
+    def test_no_member_object_built_by_plan_reload_vote_or_sweep(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a front member object was built")
+
+        monkeypatch.setattr(moo_mod, "EvaluatedIndividual", refuse)
+        scn = make_corridor_scenario(tmp_path, n_gen=30)
+        result = plan(scn, out_dir=tmp_path / "out")
+        front, _ = load_front(tmp_path / "out" / "pareto.json")
+        assert 0 <= vote(front, adjust_coefficients(RiskState(wind=1.0))) < len(front)
+        assert len(sweep(scn, {"kind": "coefficients", "spacing": 0.1})) == 66
+        with pytest.raises(AssertionError, match="member object"):
+            result.front[0]
+
+    def test_members_are_their_columns(self, planned):
+        front = planned[1].front
+        members = list(front)
+        assert len(members) == len(front) >= 2
+        for m, member in enumerate(members):
+            c, v = member.costs, member.constraints
+            costs = (c.time_s, c.safety, c.energy_j)
+            violations = (v.max_accel_violation, v.collision_violation)
+            assert all(type(x) is float for x in costs + violations)
+            assert member.decision.dtype == np.float64
+            assert member.decision.tobytes() == front.decisions[m].tobytes()
+            assert np.array(costs).tobytes() == front.costs[m].tobytes()
+            assert np.array(violations).tobytes() == front.violations[m].tobytes()
+            assert member.feasible
+        member.decision[:] = np.nan  # a copy: the front is unchanged
+        assert not np.isnan(front.decisions).any()
+        assert front[-1].decision.tobytes() == front.decisions[-1].tobytes()
+        assert front[-len(front)].costs == members[0].costs
+        for m in (len(front), -len(front) - 1):
+            with pytest.raises(IndexError):
+                front[m]
+
+    def test_load_front_reads_the_written_columns(self, planned):
+        _, result, out = planned
+        front, _ = load_front(out / "pareto.json")
+        assert isinstance(front, Front)
+        for name in ("decisions", "costs", "violations"):
+            assert np.array_equal(getattr(front, name), getattr(result.front, name))
+
+
 class TestRiskEffect:
     def test_wind_risk_increases_obstacle_distance(self, tmp_path):
         # Statistical over seeds: re-voting the same fronts under high wind
@@ -330,9 +377,9 @@ class TestSweepTable:
         scored = []
         member_metrics = pipeline_mod._member_metrics
 
-        def counted(scn, ind, env):
-            scored.append(ind.decision.tobytes())
-            return member_metrics(scn, ind, env)
+        def counted(scn, front, m, env):
+            scored.append(front.decisions[m].tobytes())
+            return member_metrics(scn, front, m, env)
 
         monkeypatch.setattr(pipeline_mod, "_member_metrics", counted)
         table = sweep(make_corridor_scenario(tmp_path, n_gen=60), {"kind": "coefficients"})
@@ -357,7 +404,7 @@ class TestSweepTable:
             rows.append({
                 **({} if axis is None else {"axis": axis, "value": values[p]}),
                 "k_time": w.k_time, "k_safety": w.k_safety, "k_energy": w.k_energy,
-                "selected_index": index, **pipeline_mod._member_metrics(scn, front[index], env),
+                "selected_index": index, **pipeline_mod._member_metrics(scn, front, index, env),
             })
 
         assert len(table) == len(rows)

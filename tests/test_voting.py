@@ -7,7 +7,7 @@ import pytest
 
 from riskplan.costs import CostVector
 from riskplan.errors import ValidationError
-from riskplan.moo import make_individual
+from riskplan.moo import Front
 from riskplan.voting import (
     RiskState,
     VoteWeights,
@@ -28,8 +28,9 @@ def ranks_of(cost_vectors):
 
 
 def members(cost_vectors):
-    """Front members with the given costs, as ``vote`` takes them."""
-    return [make_individual([], c.as_array(), (0.0, 0.0)) for c in cost_vectors]
+    """A front with the given costs, as ``vote`` takes it."""
+    costs = np.array([c.as_array() for c in cost_vectors]).reshape(-1, 3)
+    return Front(np.empty((len(costs), 0)), costs, np.zeros((len(costs), 2)))
 
 
 def direct_weights(k_time, k_safety, k_energy):
@@ -216,7 +217,7 @@ class TestVote:
 
     def test_empty_front(self):
         with pytest.raises(ValidationError):
-            vote([], direct_weights(1, 0, 0))
+            vote(members([]), direct_weights(1, 0, 0))
 
 
 class TestVotes:
@@ -246,4 +247,4 @@ class TestVotes:
 
     def test_empty_front(self):
         with pytest.raises(ValidationError):
-            votes([], LATTICE)
+            votes(members([]), LATTICE)

@@ -61,9 +61,9 @@ import numpy as np  # noqa: E402
 from riskplan.errors import ValidationError  # noqa: E402
 from riskplan.moo import (  # noqa: E402
     OBJECTIVE_NAMES,
+    Front,
     _dedup_front,
     evaluate_batch,
-    make_individual,
     nsga2_minimize,
 )
 from riskplan.pipeline import (  # noqa: E402
@@ -86,7 +86,8 @@ def world_models(scn):
 
 
 def _run_best(ctx, population, params, col: int):
-    """The run's best feasible member on cost column ``col``, or None."""
+    """The run's best feasible member on cost column ``col``, as a one-row
+    ``Front``, or None."""
 
     def batch(decisions):
         costs, violations = evaluate_batch(decisions, ctx)
@@ -100,8 +101,8 @@ def _run_best(ctx, population, params, col: int):
         return None
     tied = feasible[costs[feasible, col] == costs[feasible, col].min()]
     kept = tied[_dedup_front(costs[tied])]
-    i = kept[np.lexsort((costs[kept, 2], costs[kept, 1], costs[kept, 0]))[0]]
-    return make_individual(pop[i], costs[i], violations[i])
+    i = kept[np.lexsort((costs[kept, 2], costs[kept, 1], costs[kept, 0]))[:1]]
+    return Front(pop[i], costs[i], violations[i])
 
 
 def benchmark(scn, objective: str, n_runs: int, n_gen: int, base_seed: int, env, power) -> dict:
@@ -115,14 +116,14 @@ def benchmark(scn, objective: str, n_runs: int, n_gen: int, base_seed: int, env,
         run_scn = replace(scn, rng_seed=base_seed + run, hyper=replace(scn.hyper, n_gen=n_gen))
         _, ctx, population, params = _prepare_run(run_scn, env, power)
         member = _run_best(ctx, population, params, col)
-        if member is not None and member.costs.as_array()[col] < best_value:
-            best, best_value = member, member.costs.as_array()[col]
+        if member is not None and member.costs[0, col] < best_value:
+            best, best_value = member, member.costs[0, col]
     if best is None:
         raise ValidationError(f"no feasible benchmark trajectory found for {objective}")
-    metrics = _member_metrics(scn, best, env)
+    metrics = _member_metrics(scn, best, 0, env)
     metrics["objective"] = objective
     metrics["best_value"] = float(best_value)
-    metrics["safety"] = best.costs.safety
+    metrics["safety"] = best.costs[0, 1].item()
     return metrics
 
 
@@ -154,7 +155,7 @@ def report(name: str, scn, n_runs: int, n_gen: int) -> None:
     _table("payoff", COST_KEYS, zip(OBJECTIVE_NAMES, payoff))
 
     result = plan(replace(scn, hyper=replace(scn.hyper, n_gen=n_gen)), env=env, power_model=power)
-    front = np.array([member.costs.as_array() for member in result.front])
+    front = result.front.costs
     print(f"front: {len(front)} members of one plan at rng seed {scn.rng_seed}")
     columns = ("front_min", "front_max", "range_min", "range_max", "coverage")
     stats = (front.min(axis=0), front.max(axis=0), payoff.min(axis=0), payoff.max(axis=0))

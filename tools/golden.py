@@ -33,7 +33,11 @@ The set:
   ``pareto.json``, ``trajectory.csv``, ``generations.csv``; then each
   ``pareto.json`` read back with ``pipeline.load_front`` and re-voted at
   four fixed risk states (``revote``: one digest of the selected indices
-  and the vote weights' floats);
+  and the vote weights' floats); and ``members``: every member of the
+  plan's front read as an object, ``result.front[m]``, then
+  ``moo.evaluate`` of member 0's decision in the plan's context, each as
+  its decision's dtype and bytes, its cost and violation values with their
+  types, and ``feasible``, which pins the member view a benchmark reads;
 - the ``perfbench/city.py`` worlds 7, 8 and 9: the same three files. On
   worlds 7 and 8 about 4% of (trajectory, hull) pairs lie inside the hull
   cost's cull box, on world 9 about 20%, so both the skipped and the
@@ -91,6 +95,18 @@ SWEEPS = {
 
 def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _members_digest(members) -> str:
+    """sha256 over each member object's decision dtype and bytes, its
+    costs and violations with their Python types, and ``feasible``."""
+    h = hashlib.sha256()
+    for member in members:
+        c, v = member.costs, member.constraints
+        values = (c.time_s, c.safety, c.energy_j, v.max_accel_violation, v.collision_violation)
+        h.update(member.decision.dtype.str.encode() + member.decision.tobytes())
+        h.update(repr([(type(x).__name__, x) for x in values] + [member.feasible]).encode())
+    return h.hexdigest()
 
 
 def _edge_population(rng, lower, upper, start):
@@ -165,7 +181,7 @@ def main(argv=None) -> int:
     import city
     from oracle import DENSE_SAMPLES
     from riskplan.environment import build_environment
-    from riskplan.moo import evaluate_batch, make_context
+    from riskplan.moo import evaluate, evaluate_batch, make_context
     from riskplan.nurbs import basis_matrix, make_clamped_uniform_knots
     from riskplan.pipeline import load_front, plan, sweep
     from riskplan.power import fit_quadric, load_power_samples
@@ -231,10 +247,13 @@ def main(argv=None) -> int:
         runs = {f"corridor-{seed}": replace(corridor, rng_seed=seed) for seed in SEEDS}
         runs.update(cities)
         for label, scn in runs.items():
-            plan(scn, out_dir=out / label)
+            result = plan(scn, out_dir=out / label)
             for name in PLAN_FILES:
                 print(f"{_digest(out / label / name)}  {label}/{name}", flush=True)
             if label.startswith("corridor"):
+                members = [result.front[m] for m in range(len(result.front))]
+                members.append(evaluate(members[0].decision, result.context))
+                print(f"{_members_digest(members)}  {label}/members", flush=True)
                 front, _ = load_front(out / label / "pareto.json")
                 votes = []
                 for risks in REVOTE_RISKS:
