@@ -30,7 +30,7 @@ from .moo import (
     make_context,
     run_nsga2,
 )
-from .nurbs import NurbsCurve4D, TrajectorySamples, make_clamped_uniform_knots, sample_uniform
+from .nurbs import NurbsCurve4D, make_clamped_uniform_knots, sample_uniform
 from .pipeline import PlanResult, SweepTable, plan, sweep
 from .power import PowerQuadricModel, PowerSample, fit_quadric
 from .scenario import Hyperparams, Scenario, load_scenario
@@ -64,7 +64,6 @@ __all__ = [
     "SignedDistanceField",
     "SphereObstacle",
     "SweepTable",
-    "TrajectorySamples",
     "VoteWeights",
     "adjust_coefficients",
     "build_environment",

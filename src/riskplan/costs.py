@@ -6,13 +6,13 @@ axis. Positions come as per-axis planes (3, N, Q), the layout
 ``nurbs.rational_blend`` writes, and speeds as (N, Q). The segment steps
 (3, N, Q-1) are taken once (``_segment_steps``) and serve both the segment
 lengths (N, Q-1) and the unit directions. ``moo.evaluate_batch`` scores
-whole generations with the kernels. A single trajectory passes views of its
-rows: ``check_constraints`` runs the two constraint kernels on one
-``TrajectorySamples`` as a batch of one (seed check, emission re-check); it
-takes no speed floor, as the acceleration term reads the raw speeds.
-``pipeline`` builds the emitted timeline and power profile from
-``_segment_times`` and ``_segment_powers``, the time and energy kernels'
-helpers, which take any leading shape.
+whole generations with the kernels. A single trajectory is one member's
+sample planes (4, Q): ``check_constraints`` runs the two constraint kernels
+on them as a batch of one (seed check, emission re-check); it takes no speed
+floor, as the acceleration term reads the raw speeds. ``pipeline`` builds
+the emitted timeline and power profile from ``_segment_times`` and
+``_segment_powers``, the time and energy kernels' helpers, which take any
+leading shape. Every segment length comes from ``_segment_lengths``.
 
 Sums of squares over the three axes are written ``x*x + y*y + z*z`` on the
 planes, bit-identical to ``np.linalg.norm`` over a trailing axis of 3 but
@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environment import Environment, SafetyParams
-from .nurbs import TrajectorySamples
 from .power import PowerQuadricModel, power_for_directions
 
 _MIN_SEGMENT = 1e-6
@@ -225,14 +224,15 @@ def _collision_violation_batch(d_obs: np.ndarray, r_uav: float) -> np.ndarray:
 
 
 def check_constraints(
-    samples: TrajectorySamples,
+    planes: np.ndarray,
     env: Environment,
     a_max: float,
     r_uav: float,
 ) -> ConstraintReport:
-    """Hard-limit check for one trajectory."""
-    accel = _accel_violation_batch(samples.segment_lengths[None, :], samples.speeds[None, :], a_max)
-    d_obs = env.clearance(samples.positions)
+    """Hard-limit check for one trajectory's sample planes (4, Q)."""
+    segment_lengths = _segment_lengths(_segment_steps(planes[:3]))
+    accel = _accel_violation_batch(segment_lengths[None], planes[None, 3], a_max)
+    d_obs = env.clearance(planes[:3].T)
     collision = _collision_violation_batch(d_obs[None, :], r_uav)
     return ConstraintReport(
         max_accel_violation=float(accel[0]), collision_violation=float(collision[0])

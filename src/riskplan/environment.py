@@ -329,14 +329,15 @@ def rasterize(obstacles, domain: DomainBox, resolution: float, max_voxels: int) 
     lies inside any primitive."""
     if resolution <= 0:
         raise ValidationError("resolution must be > 0")
-    dims = tuple(int(np.ceil(e / resolution)) for e in domain.extent)
-    dims = tuple(max(d, 1) for d in dims)
-    n_voxels = int(np.prod(dims, dtype=np.int64))
+    # Float counts: a tiny resolution gives inf here, not an int overflow.
+    counts = [max(np.ceil(e / float(resolution)), 1.0) for e in domain.extent.tolist()]
+    n_voxels = counts[0] * counts[1] * counts[2]
     if n_voxels > max_voxels:
         raise CapacityError(
-            f"grid of {dims} = {n_voxels} voxels exceeds the budget of {max_voxels}; "
+            f"grid of {n_voxels:.6g} voxels exceeds the budget of {max_voxels}; "
             "raise max_voxels or coarsen the resolution"
         )
+    dims = tuple(int(n) for n in counts)
     axes = [domain.min_corner[k] + (np.arange(n) + 0.5) * resolution for k, n in enumerate(dims)]
     occupied = np.zeros(dims, dtype=bool)
     for obs in obstacles:

@@ -5,10 +5,12 @@ The design vector fixes start and goal (positions and speeds) and exposes
 ``_layout_views`` is the only code that knows this layout: ``build_bounds``
 writes the box bounds through its views, ``seeding`` the seed vector and the
 population noise, and ``_control_net`` reads them into control net planes
-(4, N, C) of x, y, z and speed for both ``decode`` and the batch path. A
-population is sampled by ``nurbs.rational_blend`` into (4, N, Q) planes, the
-same evaluator ``nurbs.sample_uniform`` uses, so a decoded member samples to
-exactly the points that were scored; every ``costs`` kernel reads the planes.
+(4, N, C) of x, y, z and speed for both ``decode`` and the batch path.
+``_decode_batch`` samples a population by ``nurbs.rational_blend`` into the
+(4, N, Q) planes that every ``costs`` kernel reads. It is the one sampler of
+a plan: ``pipeline`` decodes the members it emits with it, in the context
+that scored them, so the emitted samples are the scored ones. ``decode``
+builds one member's curve for code without a context (the seed check).
 
 ``make_context`` builds once per plan what a plan never changes: the basis
 rows of the sample parameters with their band of non-zero values, from one

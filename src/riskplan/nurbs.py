@@ -3,15 +3,15 @@
 Basis evaluation follows the classic knot-span recurrence (The NURBS Book,
 algorithm A2.2), vectorised over the sample parameters by ``basis_rows``.
 Curves have one evaluator: the basis rows of the sample parameters times the
-weighted control net (``rational_blend``). ``sample_uniform`` and the
-optimizer's batch decode both call it, so an emitted sample set is
-bit-identical to the one the optimizer scored. Curves are immutable values
-and evaluation is pure, so sampling can run concurrently.
+weighted control net (``rational_blend``). Curves are immutable values and
+evaluation is pure, so sampling can run concurrently.
 
-The evaluator works in per-coordinate planes: the control net comes in as
-(4, N, C) planes of x, y, z and speed, and the samples go out as (4, N, Q)
-planes, so every step reads and writes contiguous rows. A single curve is a
-one-member plane view.
+Samples have one format: float64 planes of x, y, z and speed, (4, N, Q) for
+N curves and (4, Q) for one. The control net comes in as (4, N, C) planes,
+so every step reads and writes contiguous rows. The optimiser's batch decode
+(``moo._decode_batch``) writes the planes it scores, and a plan emits rows of
+those planes. ``sample_uniform`` samples one curve outside a plan (the seed
+check) as a one-member batch; it returns the planes the batch decode would.
 
 By local support (The NURBS Book, section 2.2) a basis row has at most
 degree+1 non-zero values, in the adjacent columns of its knot span: the
@@ -20,7 +20,7 @@ the knots and the sample parameters, so the optimizer builds them once per
 plan (``moo.make_context``). ``rational_blend`` sums the numerator over the
 band only, in increasing column order from zero, which is the order of a
 dense sequential sum; every skipped term is an exact zero, so the sums keep
-the bits of the dense sum.
+the bits of the dense sum, and a row's bits do not depend on the batch size.
 """
 
 from __future__ import annotations
@@ -167,31 +167,12 @@ def rational_blend(
     return num
 
 
-@dataclass(frozen=True)
-class TrajectorySamples:
-    """Discrete form of a curve: positions, speed profile, and the 3D
-    length of every segment between consecutive samples."""
-
-    positions: np.ndarray
-    speeds: np.ndarray
-    segment_lengths: np.ndarray
-
-    def __post_init__(self):
-        if len(self.speeds) != len(self.positions):
-            raise ValidationError("speeds and positions must have equal length")
-        if len(self.segment_lengths) != len(self.positions) - 1:
-            raise ValidationError("segment count must be sample count - 1")
-
-
-def sample_uniform(curve: NurbsCurve4D, n_samples: int) -> TrajectorySamples:
-    """Evaluate at n_samples equally spaced parameters over the full range."""
+def sample_uniform(curve: NurbsCurve4D, n_samples: int) -> np.ndarray:
+    """Sample planes (4, n_samples) of x, y, z and speed at n_samples
+    equally spaced parameters over the full range."""
     if n_samples < 2:
         raise ValidationError("n_samples must be >= 2")
     params = np.linspace(*curve.param_range, n_samples)
     basis, band = basis_rows(curve.knots, curve.degree, params)
     net = curve.control_points.T[:, None]  # one-member planes (4, 1, C)
-    points = rational_blend(basis, band, curve.weights[None], net)[:, 0]
-    positions = points[:3].T
-    speeds = points[3]
-    segment_lengths = np.linalg.norm(np.diff(positions, axis=0), axis=1)
-    return TrajectorySamples(positions=positions, speeds=speeds, segment_lengths=segment_lengths)
+    return rational_blend(basis, band, curve.weights[None], net)[:, 0]

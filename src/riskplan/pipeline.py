@@ -34,12 +34,11 @@ from .moo import (
     Front,
     GenerationStats,
     MooParams,
-    decode,
+    _decode_batch,
     interior_count,
     make_context,
     run_nsga2,
 )
-from .nurbs import TrajectorySamples, sample_uniform
 from .power import (
     PowerQuadricModel,
     _is_axis_aligned,
@@ -85,14 +84,16 @@ class GenerationLog:
 
 @dataclass(frozen=True)
 class PlanResult:
-    """One plan: the deduplicated feasible ``moo.Front``, the voted member
-    and its emitted samples, and the optimiser's ``GenerationLog``: front
-    sizes (int64) and best costs (float64, (n_gen, 3)) of ``n_gen`` rows."""
+    """One plan: the deduplicated feasible ``moo.Front``, the voted member,
+    its sample planes (4, Q) of x, y, z and speed as ``context`` scored them,
+    with their timeline and power profile, and the optimiser's
+    ``GenerationLog``: front sizes (int64) and best costs (float64,
+    (n_gen, 3)) of ``n_gen`` rows."""
 
     front: Front
     selected_index: int
     weights: VoteWeights
-    samples: TrajectorySamples
+    samples: np.ndarray
     sample_times: np.ndarray
     sample_powers: np.ndarray
     generation_log: GenerationLog
@@ -143,30 +144,31 @@ def build_scenario_environment(scn: Scenario) -> Environment:
     )
 
 
-def trajectory_timeline(samples: TrajectorySamples, v_floor: float) -> np.ndarray:
-    """Cumulative time at each sample, starting at 0."""
-    dt = costs_mod._segment_times(samples.segment_lengths, samples.speeds, v_floor)
+def trajectory_timeline(planes: np.ndarray, v_floor: float) -> np.ndarray:
+    """Cumulative time at each sample of sample planes (4, Q), starting at 0."""
+    lengths = costs_mod._segment_lengths(costs_mod._segment_steps(planes[:3]))
+    dt = costs_mod._segment_times(lengths, planes[3], v_floor)
     return np.concatenate([[0.0], np.cumsum(dt)])
 
 
-def trajectory_powers(samples: TrajectorySamples, model: PowerQuadricModel) -> np.ndarray:
-    """Per-sample power draw from the incoming segment direction, or the
-    hover power where the surface gives none (a zero-length segment).
+def trajectory_powers(planes: np.ndarray, model: PowerQuadricModel) -> np.ndarray:
+    """Per-sample power draw of planes (4, Q) from the incoming direction,
+    or the hover power where the surface gives none (a zero-length segment).
 
     The first sample reuses the first segment's power.
     """
-    steps = costs_mod._segment_steps(samples.positions.T)  # per-axis planes (3, Q-1)
-    powers, valid, _ = costs_mod._segment_powers(steps, samples.segment_lengths, model)
+    steps = costs_mod._segment_steps(planes[:3])
+    powers, valid, _ = costs_mod._segment_powers(steps, costs_mod._segment_lengths(steps), model)
     powers = np.where(valid, powers, model.hover_power)
     return np.concatenate([[powers[0]], powers])
 
 
-def trajectory_metrics(samples: TrajectorySamples, env: Environment, v_floor: float) -> dict:
-    """Summary metrics used by sweeps and experiment reports."""
-    clearance = env.clearance(samples.positions)
+def trajectory_metrics(planes: np.ndarray, env: Environment, v_floor: float) -> dict:
+    """Summary metrics of sample planes (4, Q), for sweeps and reports."""
+    clearance = env.clearance(planes[:3].T)
     return {
-        "duration_s": float(trajectory_timeline(samples, v_floor)[-1]),
-        "length_m": float(samples.segment_lengths.sum()),
+        "duration_s": float(trajectory_timeline(planes, v_floor)[-1]),
+        "length_m": float(costs_mod._segment_lengths(costs_mod._segment_steps(planes[:3])).sum()),
         "mean_obstacle_distance_m": float(np.mean(clearance)),
         "min_obstacle_distance_m": float(np.min(clearance)),
     }
@@ -213,7 +215,6 @@ def plan(
     """
     if out_dir is not None:
         out_dir = output_dir(out_dir)
-    h = scn.hyper
     timings = {}
     t0 = time_mod.perf_counter()
 
@@ -240,9 +241,8 @@ def plan(
     weights = adjust_coefficients(scn.risks)
     selected = vote(front, weights)
 
-    curve = decode(front.decisions[selected], scn.start, scn.goal, scn.v_start, scn.v_goal, h.degree)
-    samples = sample_uniform(curve, h.n_nurbs)
-    sample_times = trajectory_timeline(samples, h.v_floor)
+    samples = _decode_batch(front.decisions[[selected]], ctx)[:, 0]
+    sample_times = trajectory_timeline(samples, ctx.v_floor)
     sample_powers = trajectory_powers(samples, power_model)
     timings["total_s"] = time_mod.perf_counter() - t0
 
@@ -314,13 +314,10 @@ def write_result(result: PlanResult, scn: Scenario, out_dir: Path) -> dict:
     pareto_path = out_dir / "pareto.json"
     pareto_path.write_text(json.dumps(front_to_dict(result, scn), indent=2, sort_keys=True))
 
-    samples = result.samples
     traj_path = write_csv(
         out_dir / "trajectory.csv",
         ("t_s", "x_m", "y_m", "z_m", "speed_mps", "power_w"),
-        np.column_stack((
-            result.sample_times, samples.positions, samples.speeds, result.sample_powers
-        )).tolist(),
+        np.column_stack((result.sample_times, result.samples.T, result.sample_powers)).tolist(),
     )
 
     log = result.generation_log
@@ -442,13 +439,17 @@ def _sweep_points(scn: Scenario, spec) -> tuple[Optional[str], Optional[list], l
     return axis, values, weights
 
 
-def _member_metrics(scn: Scenario, front: Front, m: int, env: Environment) -> dict:
-    """Time and energy cost plus ``trajectory_metrics`` of front member ``m``."""
-    h = scn.hyper
-    curve = decode(front.decisions[m], scn.start, scn.goal, scn.v_start, scn.v_goal, h.degree)
-    metrics = trajectory_metrics(sample_uniform(curve, h.n_nurbs), env, h.v_floor)
-    time_s, _, energy_j = front.costs[m].tolist()
-    return {"time_s": time_s, "energy_j": energy_j, **metrics}
+def _member_metrics(front: Front, members: Iterable[int], ctx: EvaluationContext) -> dict:
+    """Each of the distinct front ``members`` mapped to its time and energy
+    cost plus ``trajectory_metrics``. The members are sampled in one batch
+    decode in ``ctx``, the context that scored the front."""
+    members = list(members)
+    planes = _decode_batch(front.decisions[members], ctx)
+    return {
+        m: {"time_s": front.costs[m, 0].item(), "energy_j": front.costs[m, 2].item(),
+            **trajectory_metrics(planes[:, row], ctx.env, ctx.v_floor)}
+        for row, m in enumerate(members)
+    }
 
 
 @dataclass(frozen=True, eq=False)
@@ -508,10 +509,10 @@ def sweep(
     then the output location are checked before anything is planned.
 
     The whole grid goes through one ``votes`` ballot, so the front's ranks
-    are built once. ``_member_metrics`` runs once per distinct selected
-    member, not once per point. The rows come back as a ``SweepTable``,
-    whose size grows with the grid by two columns, not by a dict per row;
-    sweep.csv is written from it.
+    are built once. ``_member_metrics`` samples the distinct selected
+    members in one batch decode in the plan's context. The rows come back
+    as a ``SweepTable``, whose size grows with the grid by two columns, not
+    by a dict per row; sweep.csv is written from it.
     """
     axis, values, weights = _sweep_points(scn, sweep_spec)
     if out_dir is not None:
@@ -519,13 +520,14 @@ def sweep(
 
     env = build_scenario_environment(scn)
     power_model = fit_quadric(load_power_samples(scn.power_calibration))
-    front = plan(scn, env=env, power_model=power_model).front
+    result = plan(scn, env=env, power_model=power_model)
+    front = result.front
 
     selected = votes(front, weights)
     table = SweepTable(
         k=np.array([(w.k_time, w.k_safety, w.k_energy) for w in weights]),
         selected_index=np.array(selected, dtype=np.int64),
-        metrics={i: _member_metrics(scn, front, i, env) for i in dict.fromkeys(selected)},
+        metrics=_member_metrics(front, dict.fromkeys(selected), result.context),
         axis=axis,
         value=None if values is None else np.array(values, dtype=float),
     )
@@ -546,6 +548,8 @@ def fit_power_report(csv_path, holdout_fraction: float = 1.0) -> tuple[PowerQuad
     The report carries agreement statistics (mean error with 1.96-sigma
     limits) and per-sample residuals.
     """
+    if not 0.0 < holdout_fraction <= 1.0:
+        raise ValidationError("holdout_fraction must be in (0, 1]")
     samples = load_power_samples(csv_path)
     axis_samples = [s for s in samples if _is_axis_aligned(s.direction)]
     rest = [s for s in samples if not _is_axis_aligned(s.direction)]
@@ -555,8 +559,6 @@ def fit_power_report(csv_path, holdout_fraction: float = 1.0) -> tuple[PowerQuad
         )
     model = fit_quadric(axis_samples)
 
-    if not 0.0 < holdout_fraction <= 1.0:
-        raise ValidationError("holdout_fraction must be in (0, 1]")
     if holdout_fraction < 1.0 and rest:
         rng = np.random.default_rng(0)
         n_keep = max(1, int(round(holdout_fraction * len(rest))))

@@ -330,6 +330,16 @@ class TestFitPowerCommand:
         assert main(["fit-power", str(csv), "--out", str(tmp_path / "fit")]) == 2
         assert "cal.csv:8: vx, vy, vz and power_w must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_axis", [5, 6])
+    def test_zero_holdout_exit_code(self, tmp_path, capsys, n_axis):
+        # The fraction is checked before the data, so the exit code does not
+        # depend on whether the six axis samples are there.
+        rows = ["1,0,0,600", "-1,0,0,600", "0,1,0,600", "0,-1,0,600", "0,0,1,800", "0,0,-1,500"]
+        csv = tmp_path / "cal.csv"
+        csv.write_text("\n".join(["vx,vy,vz,power_w", *rows[:n_axis]]) + "\n")
+        assert main(["fit-power", str(csv), "--holdout", "0"]) == 2
+        assert "holdout_fraction" in capsys.readouterr().err
+
     def test_fit_failure_exit_code(self, tmp_path):
         csv = tmp_path / "cal.csv"
         csv.write_text("vx,vy,vz,power_w\n1,0,0,600\n-1,0,0,600\n0,1,0,600\n"
@@ -417,3 +427,13 @@ class TestSdfDumpCommand:
         data = np.load(out)
         assert data["distance"].shape == tuple(data["dims"])
         assert data["resolution"] == 0.5
+
+    def test_tiny_resolution_exit_code(self, tmp_path, capsys):
+        # A finite positive resolution passes the scenario check; its grid
+        # is over the voxel budget and must exit 2, not overflow.
+        data = corridor_scenario_dict(write_power_csv(tmp_path / "power.csv"), n_gen=60)
+        data["environment"]["resolution"] = 5e-324
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(data))
+        assert main(["sdf-dump", str(path), "--out", str(tmp_path / "grid.npz")]) == 2
+        assert "exceeds the budget" in capsys.readouterr().err

@@ -24,18 +24,12 @@ from riskplan.environment import (
     SafetyParams,
     build_environment,
 )
-from riskplan.nurbs import TrajectorySamples
 from riskplan.scenario import Hyperparams
 
 
 def make_samples(positions, speeds):
-    positions = np.asarray(positions, dtype=float)
-    speeds = np.asarray(speeds, dtype=float)
-    return TrajectorySamples(
-        positions=positions,
-        speeds=speeds,
-        segment_lengths=np.linalg.norm(np.diff(positions, axis=0), axis=1),
-    )
+    """Sample planes (4, Q) of x, y, z and speed from rows (Q, 3) and speeds."""
+    return np.vstack([np.asarray(positions, dtype=float).T, np.asarray(speeds, dtype=float)])
 
 
 def straight_samples(length, n, speed, z=5.0):
@@ -51,6 +45,11 @@ def steps_of(positions):
 
 def lengths_of(positions):
     return _segment_lengths(steps_of(positions))
+
+
+def time_of(samples, v_floor):
+    """The time kernel on one trajectory's sample planes (4, Q)."""
+    return _time_batch(lengths_of(samples[:3].T)[None], samples[None, 3], v_floor)
 
 
 def hull_cost(positions, hulls, r_ch_max):
@@ -72,12 +71,12 @@ V_FLOOR = Hyperparams().v_floor
 class TestTimeCost:
     def test_distance_over_speed(self):
         samples = straight_samples(4.0, 3, 2.0)
-        time = _time_batch(samples.segment_lengths[None], samples.speeds[None], V_FLOOR)
+        time = time_of(samples, V_FLOOR)
         assert time[0] == pytest.approx(2.0)
 
     def test_zero_length_path(self):
         samples = make_samples(np.zeros((3, 3)), np.ones(3))
-        time = _time_batch(samples.segment_lengths[None], samples.speeds[None], V_FLOOR)
+        time = time_of(samples, V_FLOOR)
         assert time[0] == 0.0
 
     def test_segment_end_speed_indexing(self):
@@ -85,13 +84,13 @@ class TestTimeCost:
         # the speed of its end sample -> 1/1 + 1/4.
         positions = [[0, 0, 0], [1, 0, 0], [2, 0, 0]]
         samples = make_samples(positions, [2.0, 1.0, 4.0])
-        time = _time_batch(samples.segment_lengths[None], samples.speeds[None], V_FLOOR)
+        time = time_of(samples, V_FLOOR)
         assert time[0] == pytest.approx(1.25)
 
     def test_speed_floor_guards_zero(self):
         positions = [[0, 0, 0], [1, 0, 0]]
         samples = make_samples(positions, [1.0, 0.0])
-        time = _time_batch(samples.segment_lengths[None], samples.speeds[None], 0.1)
+        time = time_of(samples, 0.1)
         assert time[0] == pytest.approx(10.0)
 
 
@@ -346,7 +345,7 @@ class TestSafetyCost:
         env = build_environment(domain, [obstacle], resolution=0.5)
         samples = straight_samples(10.0, 11, 1.0, z=9.0)
         # shift far from the obstacle corner
-        positions = samples.positions + np.array([15, 3, 0])
+        positions = samples[:3].T + np.array([15, 3, 0])
         sdf = sdf_point_cost(env.clearance(positions), PARAMS)
         hull = hull_cost(positions[None], env.hulls, PARAMS.r_ch_max)
         assert _safety_batch(sdf[None], hull, PARAMS.k_a, PARAMS.k_b)[0] == 0.0
@@ -359,7 +358,7 @@ class TestSafetyCost:
         # plane obstacle below; fly level at constant clearance d = 2.5
         # (distance to occupied voxel centers at z=0.25 -> fly at z=2.75)
         samples = straight_samples(10.0, 21, 1.0, z=2.75)
-        positions = samples.positions + np.array([5, 0, 0])
+        positions = samples[:3].T + np.array([5, 0, 0])
         sdf = sdf_point_cost(env.clearance(positions), PARAMS)
         hull = hull_cost(positions[None], env.hulls, PARAMS.r_ch_max)
         got = _safety_batch(sdf[None], hull, PARAMS.k_a, PARAMS.k_b)[0]
@@ -401,15 +400,15 @@ class TestEnergyCost:
         model = symmetric_model(500.0)
         samples = straight_samples(20.0, 21, 2.0)
         # total time 10 s at 500 W
-        energy, ok = energy_of(samples.positions[None], samples.speeds[None], model)
+        energy, ok = energy_of(samples[:3].T[None], samples[None, 3], model)
         assert ok.all()
         assert energy[0] == pytest.approx(5000.0, rel=1e-9)
 
     def test_double_speed_halves_energy(self):
         model = asymmetric_model()
         samples = straight_samples(20.0, 21, 1.0)
-        positions = np.stack([samples.positions] * 2)
-        speeds = np.stack([samples.speeds, samples.speeds * 2.0])
+        positions = np.stack([samples[:3].T] * 2)
+        speeds = np.stack([samples[3], samples[3] * 2.0])
         (slow, fast), ok = energy_of(positions, speeds, model)
         assert ok.all()
         assert fast == pytest.approx(slow / 2.0)

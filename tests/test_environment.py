@@ -121,6 +121,14 @@ class TestBuildSdf:
         with pytest.raises(CapacityError):
             build_sdf([], domain, resolution=0.01, max_voxels=100_000)
 
+    @pytest.mark.parametrize("resolution", [1e-12, 5e-324])
+    def test_capacity_error_at_tiny_resolution(self, resolution):
+        # 1e-12 wraps an int64 voxel count; 5e-324 makes each count infinite.
+        # Both are over any budget and must be refused before allocating.
+        domain = DomainBox(min_corner=[0, 0, 0], max_corner=[24, 16, 8], v_max=1.0)
+        with pytest.raises(CapacityError):
+            build_sdf([], domain, resolution=resolution)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_distance_transform_matches_brute_force(self, seed):
         # Exact equality against the oracle on random occupancy up to 32^3.

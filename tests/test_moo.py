@@ -85,8 +85,8 @@ class TestDecisionVector:
         assert curve.control_points[0] == pytest.approx([0, 0, 0, 1.0])
         assert curve.control_points[-1] == pytest.approx([10, 0, 0, 0.5])
         samples = sample_uniform(curve, 11)
-        assert samples.positions[0] == pytest.approx(self.START)
-        assert samples.positions[-1] == pytest.approx(self.GOAL)
+        assert samples[:3, 0] == pytest.approx(self.START)
+        assert samples[:3, -1] == pytest.approx(self.GOAL)
 
     def test_endpoint_weight_changes_shape_not_endpoint(self):
         rng = np.random.default_rng(3)
@@ -96,8 +96,7 @@ class TestDecisionVector:
         c1 = decode(z, self.START, self.GOAL, 1.0, 1.0, 3)
         c2 = decode(z2, self.START, self.GOAL, 1.0, 1.0, 3)
         s1, s2 = sample_uniform(c1, 11), sample_uniform(c2, 11)  # parameters k / 10
-        p1 = np.column_stack([s1.positions, s1.speeds])
-        p2 = np.column_stack([s2.positions, s2.speeds])
+        p1, p2 = s1.T, s2.T  # (x, y, z, speed) rows
         assert np.array_equal(p1[0], p2[0])
         assert np.linalg.norm(p1[1] - p2[1]) > 1e-9
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.interpolate import BSpline
 from scipy.optimize import linprog
 
+from riskplan.costs import _segment_lengths, _segment_steps
 from riskplan.errors import ParameterRangeError, ValidationError
 from riskplan.nurbs import (
     NurbsCurve4D,
@@ -71,8 +72,12 @@ def make_curve(ctrl, weights=None, degree=3):
 
 
 def points(samples):
-    """Sampled (x, y, z, speed) rows."""
-    return np.column_stack([samples.positions, samples.speeds])
+    """Sampled (x, y, z, speed) rows of sample planes (4, Q)."""
+    return samples.T
+
+
+def segment_lengths(samples):
+    return _segment_lengths(_segment_steps(samples[:3]))
 
 
 def s_curve():
@@ -193,9 +198,7 @@ class TestEvaluate:
         samples = sample_uniform(curve, 40)
         params = np.linspace(*curve.param_range, 40)
         _, (cols, _) = basis_rows(curve.knots, curve.degree, params)
-        for u, active_cols, point in zip(params, cols.T, np.column_stack(
-            [samples.positions, samples.speeds]
-        )):
+        for u, active_cols, point in zip(params, cols.T, points(samples)):
             active = curve.control_points[active_cols]
             n_active = len(active)
             a_eq = np.vstack([active.T, np.ones(n_active)])
@@ -238,23 +241,23 @@ class TestSampleUniform:
         )
         curve = make_curve(ctrl, degree=1)
         samples = sample_uniform(curve, 11)
-        assert samples.segment_lengths == pytest.approx(np.ones(10), abs=1e-9)
-        assert samples.speeds == pytest.approx(np.full(11, 2.0))
+        assert segment_lengths(samples) == pytest.approx(np.ones(10), abs=1e-9)
+        assert samples[3] == pytest.approx(np.full(11, 2.0))
 
     def test_two_samples(self):
         curve = s_curve()
         samples = sample_uniform(curve, 2)
-        assert len(samples.segment_lengths) == 1
+        assert len(segment_lengths(samples)) == 1
         expected = np.linalg.norm(curve.control_points[-1, :3] - curve.control_points[0, :3])
-        assert samples.segment_lengths[0] == pytest.approx(expected)
+        assert segment_lengths(samples)[0] == pytest.approx(expected)
 
     def test_arc_length_close_to_dense_oracle(self):
         # Oracle: chord length at 100k samples converges to true arc length.
         curve = s_curve()
         dense = sample_uniform(curve, 100_001)
-        oracle_length = dense.segment_lengths.sum()
+        oracle_length = segment_lengths(dense).sum()
         coarse = sample_uniform(curve, 51)
-        got = coarse.segment_lengths.sum()
+        got = segment_lengths(coarse).sum()
         assert abs(got - oracle_length) / oracle_length < 0.01
 
     def test_requires_two_samples(self):

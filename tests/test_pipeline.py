@@ -12,6 +12,7 @@ import pytest
 from conftest import make_corridor_scenario, write_power_csv
 from riskplan.costs import check_constraints
 import riskplan.moo as moo_mod
+import riskplan.nurbs as nurbs_mod
 import riskplan.pipeline as pipeline_mod
 from riskplan.errors import FitError, ValidationError
 from riskplan.moo import Front, GenerationStats, _decode_batch, decode, evaluate
@@ -61,21 +62,19 @@ class TestPlanOutputs:
 
     def test_emitted_samples_are_the_scored_samples(self, planned):
         # sample_uniform and the optimizer's batch decode share one
-        # evaluator, so every member re-samples to the exact scored rows.
+        # evaluator, and a row's bits do not depend on the batch size, so
+        # every member re-samples to the exact scored rows, and the emitted
+        # one-member decode is the selected row.
         scn, result, _ = planned
         ctx = result.context
         planes = _decode_batch(result.front.decisions, ctx)
-        positions, speeds = planes[:3].transpose(1, 2, 0), planes[3]
         for i, ind in enumerate(result.front):
             curve = decode(
                 ind.decision, scn.start, scn.goal, scn.v_start, scn.v_goal, scn.hyper.degree
             )
-            samples = sample_uniform(curve, scn.hyper.n_nurbs)
-            assert np.array_equal(samples.positions, positions[i])
-            assert np.array_equal(samples.speeds, speeds[i])
-        selected = result.selected_index
-        assert np.array_equal(result.samples.positions, positions[selected])
-        assert np.array_equal(result.samples.speeds, speeds[selected])
+            assert np.array_equal(sample_uniform(curve, scn.hyper.n_nurbs), planes[:, i])
+        assert result.samples.dtype == np.float64
+        assert np.array_equal(result.samples, planes[:, result.selected_index])
 
     def test_emitted_timeline_and_powers_match_scored_costs(self, planned):
         # The emitted timeline and power profile share the segment-time and
@@ -361,6 +360,32 @@ class TestSweep:
         assert r1 == r2
 
 
+class TestOneSampler:
+    """Emitted members are sampled only in the plan's context, by the
+    optimiser's batch decode. ``moo.make_context`` holds its own reference
+    to ``basis_rows``, so the module attribute counts only the bases built
+    for single curves (``sample_uniform``), which the seed check alone
+    needs: one per seed attempt."""
+
+    def test_emission_builds_no_basis_of_its_own(self, tmp_path, monkeypatch):
+        calls = []
+        basis_rows = nurbs_mod.basis_rows
+
+        def counted(*args):
+            calls.append(args)
+            return basis_rows(*args)
+
+        monkeypatch.setattr(nurbs_mod, "basis_rows", counted)
+        scn = make_corridor_scenario(tmp_path, n_gen=60)
+        result = plan(scn)
+        seed_attempts = result.metadata["seed_halvings"] + 1
+        assert len(calls) == seed_attempts
+        calls.clear()
+        table = sweep(scn, {"kind": "coefficients"})
+        assert len(set(table.selected_index.tolist())) >= 2
+        assert len(calls) == seed_attempts
+
+
 class TestSweepTable:
     """``sweep`` votes once per grid and scores each selected member once;
     its rows read as the per-point loop built them."""
@@ -377,9 +402,10 @@ class TestSweepTable:
         scored = []
         member_metrics = pipeline_mod._member_metrics
 
-        def counted(scn, front, m, env):
-            scored.append(front.decisions[m].tobytes())
-            return member_metrics(scn, front, m, env)
+        def counted(front, members, ctx):
+            members = list(members)
+            scored.extend(front.decisions[m].tobytes() for m in members)
+            return member_metrics(front, members, ctx)
 
         monkeypatch.setattr(pipeline_mod, "_member_metrics", counted)
         table = sweep(make_corridor_scenario(tmp_path, n_gen=60), {"kind": "coefficients"})
@@ -395,8 +421,8 @@ class TestSweepTable:
     def test_rows_match_per_point_rows(self, tmp_path, spec):
         scn = make_corridor_scenario(tmp_path, n_gen=60)
         table = sweep(scn, spec)
-        env = build_scenario_environment(scn)
-        front = plan(scn, env=env).front
+        base = plan(scn, env=build_scenario_environment(scn))
+        front = base.front
         axis, values, weights = pipeline_mod._sweep_points(scn, spec)
         rows = []
         for p, w in enumerate(weights):
@@ -404,7 +430,8 @@ class TestSweepTable:
             rows.append({
                 **({} if axis is None else {"axis": axis, "value": values[p]}),
                 "k_time": w.k_time, "k_safety": w.k_safety, "k_energy": w.k_energy,
-                "selected_index": index, **pipeline_mod._member_metrics(scn, front, index, env),
+                "selected_index": index,
+                **pipeline_mod._member_metrics(front, [index], base.context)[index],
             })
 
         assert len(table) == len(rows)

@@ -8,7 +8,6 @@ import pytest
 
 from conftest import AXIS_DIRECTIONS, asymmetric_model, axis_samples, symmetric_model
 from riskplan.errors import FitError, ValidationError
-from riskplan.nurbs import TrajectorySamples
 from riskplan.pipeline import trajectory_powers
 from riskplan.power import (
     PowerQuadricModel,
@@ -151,11 +150,7 @@ class TestPowerForDirection:
         # profile falls back to the stored hover power there.
         model = asymmetric_model()
         positions = np.array([[1.0, 2, 3], [2, 2, 3], [2, 2, 3], [2, 2, 4]])
-        samples = TrajectorySamples(
-            positions=positions,
-            speeds=np.ones(4),
-            segment_lengths=np.array([1.0, 0.0, 1.0]),
-        )
+        samples = np.vstack([positions.T, np.ones(4)])  # segment lengths 1, 0, 1
         hover = np.mean([600, 600, 600, 600, 800, 500])
         assert model.hover_power == pytest.approx(hover)
         powers = trajectory_powers(samples, model)

@@ -111,16 +111,17 @@ def benchmark(scn, objective: str, n_runs: int, n_gen: int, base_seed: int, env,
     if objective not in OBJECTIVE_NAMES:
         raise ValidationError(f"unknown objective {objective!r}")
     col = OBJECTIVE_NAMES.index(objective)
-    best, best_value = None, np.inf
+    best, best_ctx, best_value = None, None, np.inf
     for run in range(n_runs):
         run_scn = replace(scn, rng_seed=base_seed + run, hyper=replace(scn.hyper, n_gen=n_gen))
         _, ctx, population, params = _prepare_run(run_scn, env, power)
         member = _run_best(ctx, population, params, col)
         if member is not None and member.costs[0, col] < best_value:
-            best, best_value = member, member.costs[0, col]
+            # Each run's seed fixes its arity, so the member keeps its context.
+            best, best_ctx, best_value = member, ctx, member.costs[0, col]
     if best is None:
         raise ValidationError(f"no feasible benchmark trajectory found for {objective}")
-    metrics = _member_metrics(scn, best, 0, env)
+    metrics = _member_metrics(best, [0], best_ctx)[0]
     metrics["objective"] = objective
     metrics["best_value"] = float(best_value)
     metrics["safety"] = best.costs[0, 1].item()

@@ -30,7 +30,12 @@ The set:
   sample counts) and at the 2000 of the benchmark's dense oracle
   (``perfbench/oracle.py``), which no plan result pins;
 - ``scenarios/corridor.json`` at rng seeds 7 and 8 (its 1000 generations):
-  ``pareto.json``, ``trajectory.csv``, ``generations.csv``; then each
+  ``pareto.json``, ``trajectory.csv``, ``generations.csv``; ``samples``:
+  the bytes of the plan's emitted sample planes (4, Q) of x, y, z and
+  speed, its ``sample_times`` and its ``sample_powers``, at the full
+  precision that trajectory.csv rounds to ``.10g`` (a checkout whose
+  ``result.samples`` still has ``positions`` and ``speeds`` is read as
+  those planes); then each
   ``pareto.json`` read back with ``pipeline.load_front`` and re-voted at
   four fixed risk states (``revote``: one digest of the selected indices
   and the vote weights' floats); and ``members``: every member of the
@@ -38,7 +43,8 @@ The set:
   ``moo.evaluate`` of member 0's decision in the plan's context, each as
   its decision's dtype and bytes, its cost and violation values with their
   types, and ``feasible``, which pins the member view a benchmark reads;
-- the ``perfbench/city.py`` worlds 7, 8 and 9: the same three files. On
+- the ``perfbench/city.py`` worlds 7, 8 and 9: the same three files and
+  ``samples``. On
   worlds 7 and 8 about 4% of (trajectory, hull) pairs lie inside the hull
   cost's cull box, on world 9 about 20%, so both the skipped and the
   computed branch of ``costs._hull_cost_batch`` are covered;
@@ -106,6 +112,18 @@ def _members_digest(members) -> str:
         values = (c.time_s, c.safety, c.energy_j, v.max_accel_violation, v.collision_violation)
         h.update(member.decision.dtype.str.encode() + member.decision.tobytes())
         h.update(repr([(type(x).__name__, x) for x in values] + [member.feasible]).encode())
+    return h.hexdigest()
+
+
+def _samples_digest(result) -> str:
+    """sha256 of the bytes of a plan's emitted sample planes (4, Q), sample
+    times and sample powers."""
+    samples = result.samples
+    if hasattr(samples, "positions"):  # a checkout that predates the planes
+        samples = np.vstack([samples.positions.T, samples.speeds])
+    h = hashlib.sha256()
+    for arr in (samples, result.sample_times, result.sample_powers):
+        h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
 
 
@@ -250,6 +268,7 @@ def main(argv=None) -> int:
             result = plan(scn, out_dir=out / label)
             for name in PLAN_FILES:
                 print(f"{_digest(out / label / name)}  {label}/{name}", flush=True)
+            print(f"{_samples_digest(result)}  {label}/samples", flush=True)
             if label.startswith("corridor"):
                 members = [result.front[m] for m in range(len(result.front))]
                 members.append(evaluate(members[0].decision, result.context))
