@@ -1,7 +1,9 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 2 validation error, 3 planning failure, 4 power-fit
-failure.
+failure. A validation error is also an input file that cannot be read (missing,
+a directory, not UTF-8, invalid JSON) and a result file that cannot be
+written; its message names the file.
 """
 
 from __future__ import annotations
@@ -9,13 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CapacityError, FitError, PlanningFailureError, ValidationError
-from .pipeline import fit_power_report, load_front, output_dir, plan, sweep, vote_weights_dict
+from .errors import output_file, read_input, write_json
+from .pipeline import COST_KEYS, fit_power_report, load_front, output_dir, plan, sweep
+from .pipeline import vote_weights_dict
 from .scenario import load_scenario
 from .voting import RiskState, adjust_coefficients, vote
 
@@ -46,13 +50,11 @@ def _cmd_plan(args) -> int:
         scn = replace(scn, risks=_parse_risks(args.risks))
     out_dir = output_dir(Path(args.out) if args.out else Path("out") / scn.name)
     result = plan(scn, out_dir=out_dir)
-    selected = result.front[result.selected_index]
+    costs = dict(zip(COST_KEYS, result.front.costs[result.selected_index].tolist()))
     print(
         f"planned {len(result.front)} Pareto trajectories -> {out_dir}\n"
-        f"selected #{result.selected_index}: "
-        f"time {selected.costs.time_s:.2f} s, "
-        f"safety {selected.costs.safety:.4f}, "
-        f"energy {selected.costs.energy_j:.0f} J"
+        f"selected #{result.selected_index}: time {costs['time_s']:.2f} s, "
+        f"safety {costs['safety']:.4f}, energy {costs['energy_j']:.0f} J"
     )
     return EXIT_OK
 
@@ -65,7 +67,7 @@ def _cmd_vote(args) -> int:
     payload = {
         "selected_index": index,
         "vote_weights": vote_weights_dict(weights),
-        "costs": asdict(front[index].costs),
+        "costs": dict(zip(COST_KEYS, front.costs[index].tolist())),
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
@@ -74,20 +76,15 @@ def _cmd_vote(args) -> int:
 def _cmd_fit_power(args) -> int:
     out_dir = output_dir(Path(args.out) if args.out else Path("."))
     model, report = fit_power_report(args.data, holdout_fraction=args.holdout)
-    model_path = out_dir / "power_model.json"
-    model_path.write_text(
-        json.dumps(
-            {
-                "a": model.a, "b": model.b, "c": model.c,
-                "g": model.g, "h": model.h, "k": model.k,
-                "hover_power_w": model.hover_power,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+    model_path = write_json(
+        out_dir / "power_model.json",
+        {
+            "a": model.a, "b": model.b, "c": model.c,
+            "g": model.g, "h": model.h, "k": model.k,
+            "hover_power_w": model.hover_power,
+        },
     )
-    report_path = out_dir / "power_report.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True))
+    report_path = write_json(out_dir / "power_report.json", report)
     print(
         f"fit on {report['n_fit']} axis samples, validated on {report['n_validation']}: "
         f"mean error {report['mean_error_w']:.2f} W "
@@ -100,10 +97,7 @@ def _cmd_fit_power(args) -> int:
 
 def _cmd_sweep(args) -> int:
     scn = load_scenario(args.scenario)
-    try:
-        spec = json.loads(Path(args.spec).read_text())
-    except (OSError, ValueError) as exc:
-        raise ValidationError(f"--spec {args.spec}: {exc}") from exc
+    spec = read_input(args.spec, "sweep spec", as_json=True)
     out_dir = Path(args.out) if args.out else Path("out") / f"{scn.name}-sweep"
     rows = sweep(scn, spec, out_dir=out_dir)
     print(f"swept {len(rows)} points -> {out_dir / 'sweep.csv'}")
@@ -116,17 +110,13 @@ def _cmd_sdf_dump(args) -> int:
     scn = load_scenario(args.scenario)
     out = Path(args.out) if args.out else Path(f"{scn.name}-sdf.npz")
     output_dir(out.parent)
-    if out.is_dir():
-        raise ValidationError(f"output file {out}: is a directory")
-    env = build_scenario_environment(scn)
-    np.savez_compressed(
-        out,
-        origin=env.sdf.origin,
-        resolution=env.sdf.resolution,
-        dims=np.asarray(env.sdf.dims),
-        distance=env.sdf.distance,
-    )
-    print(f"dumped {env.sdf.dims} grid (resolution {env.sdf.resolution} m) -> {out}")
+    # Opened before the build, so an unusable file fails before any work; the
+    # open file is written, as ``savez_compressed`` adds ``.npz`` to a path.
+    with output_file(out, binary=True) as fh:
+        sdf = build_scenario_environment(scn).sdf
+        np.savez_compressed(fh, origin=sdf.origin, resolution=sdf.resolution,
+                            dims=np.asarray(sdf.dims), distance=sdf.distance)
+    print(f"dumped {sdf.dims} grid (resolution {sdf.resolution} m) -> {out}")
     return EXIT_OK
 
 

@@ -40,7 +40,6 @@ voxel instead of about 50 (scipy's index grid and (3, ...) float64 copy).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 from scipy import ndimage
@@ -169,9 +168,6 @@ class CapsuleObstacle:
             t = np.clip((pts - self.endpoint_a) @ ab / denom, 0.0, 1.0)
             closest = self.endpoint_a + t[..., None] * ab
         return np.linalg.norm(pts - closest, axis=-1) <= self.radius
-
-
-ObstaclePrimitive = Union[BoxObstacle, SphereObstacle, CapsuleObstacle]
 
 
 @dataclass(frozen=True)

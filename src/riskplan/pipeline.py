@@ -8,6 +8,9 @@ across reruns.
 Each rule at the file boundary has one home, which ``cli`` shares:
 - ``output_dir``: the only check of an output location; ``plan`` and
   ``sweep`` call it before any work;
+- ``errors.read_input``: the only reader of an input file, and
+  ``errors.output_file`` (``write_json`` for JSON): the only writer of a
+  result file; each turns a bad path into a ValidationError naming it;
 - ``scenario._type_problem`` (through ``_field``): every number read from
   JSON, in a scenario, a sweep spec or a reloaded pareto.json;
 - ``write_csv``: trajectory.csv, generations.csv and sweep.csv;
@@ -17,7 +20,6 @@ Each rule at the file boundary has one home, which ``cli`` shares:
 
 from __future__ import annotations
 
-import json
 import time as time_mod
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
@@ -29,6 +31,7 @@ import numpy as np
 from . import costs as costs_mod
 from .environment import Environment, build_environment
 from .errors import FitError, PlanningFailureError, ValidationError
+from .errors import output_file, read_input, write_json
 from .moo import (
     EvaluationContext,
     Front,
@@ -117,7 +120,7 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Pa
     """Write the ``header`` line, then one line per row: a float cell as
     ``.10g``, any other cell with ``str``. Feed it Python values
     (``.tolist()``), so that every cell is formatted the same way."""
-    with path.open("w") as fh:
+    with output_file(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row) + "\n")
@@ -210,7 +213,7 @@ def plan(
     """Run the full pipeline for one scenario.
 
     ``env`` and ``power_model`` can be passed in to reuse expensive setup
-    across repeated plans of the same world (sweeps, benchmarks). An
+    across repeated plans of the same world (benchmarks). An
     ``out_dir`` is checked with ``output_dir`` before anything is built.
     """
     if out_dir is not None:
@@ -311,8 +314,7 @@ def write_result(result: PlanResult, scn: Scenario, out_dir: Path) -> dict:
             f"selected trajectory violates hard constraints on emission: {report}"
         )
 
-    pareto_path = out_dir / "pareto.json"
-    pareto_path.write_text(json.dumps(front_to_dict(result, scn), indent=2, sort_keys=True))
+    pareto_path = write_json(out_dir / "pareto.json", front_to_dict(result, scn))
 
     traj_path = write_csv(
         out_dir / "trajectory.csv",
@@ -328,21 +330,13 @@ def write_result(result: PlanResult, scn: Scenario, out_dir: Path) -> dict:
         ((gen, front_size, *best) for gen, (front_size, best) in gen_rows),
     )
 
-    meta_path = out_dir / "metadata.json"
-    meta = dict(result.metadata)
-    meta["files"] = {
-        "pareto": pareto_path.name,
-        "trajectory": traj_path.name,
-        "generations": gen_path.name,
-    }
-    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True))
+    files = {"pareto": pareto_path, "trajectory": traj_path, "generations": gen_path}
+    meta_path = write_json(
+        out_dir / "metadata.json",
+        {**result.metadata, "files": {name: path.name for name, path in files.items()}},
+    )
 
-    return {
-        "pareto": pareto_path,
-        "trajectory": traj_path,
-        "generations": gen_path,
-        "metadata": meta_path,
-    }
+    return {**files, "metadata": meta_path}
 
 
 def _front_member(entry: dict, where: str, errors: list) -> tuple[list, list, list]:
@@ -364,17 +358,17 @@ def _front_member(entry: dict, where: str, errors: list) -> tuple[list, list, li
 def load_front(path) -> tuple[Front, dict]:
     """Reload a pareto.json into a ``moo.Front`` plus its context block.
 
-    A missing or unreadable file, invalid JSON, or a missing ``front`` or
-    member field raises ValidationError. So do an empty front, a decision
+    A file that ``errors.read_input`` cannot read, or a missing ``front`` or
+    member field, raises ValidationError. So do an empty front, a decision
     of another length than ``front[0]``'s, and a decision entry, cost or
     violation that is not a finite JSON number (a string, a bool, NaN or an
     infinity), each named as in ``front[3].costs.time_s``, one message each.
     """
     errors: list[str] = []
+    data = read_input(path, "Pareto front", as_json=True)
     try:
-        data = json.loads(Path(path).read_text())
         rows = [_front_member(entry, f"front[{i}]", errors) for i, entry in enumerate(data["front"])]
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: not a readable Pareto front ({exc!r})") from exc
     if not rows:
         errors.append("front is empty")
@@ -518,9 +512,7 @@ def sweep(
     if out_dir is not None:
         out_dir = output_dir(out_dir)
 
-    env = build_scenario_environment(scn)
-    power_model = fit_quadric(load_power_samples(scn.power_calibration))
-    result = plan(scn, env=env, power_model=power_model)
+    result = plan(scn)
     front = result.front
 
     selected = votes(front, weights)

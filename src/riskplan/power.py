@@ -10,14 +10,14 @@ surface, i.e. solving one quadratic.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import FitError, ValidationError
+from .errors import FitError, ValidationError, read_input
 
 
 @dataclass(frozen=True)
@@ -161,31 +161,28 @@ def load_power_samples(path) -> list[PowerSample]:
 
     Directions are normalized on load.
     """
-    path = Path(path)
     samples = []
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = {"vx", "vy", "vz", "power_w"}
-        if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
+    reader = csv.DictReader(io.StringIO(read_input(path, "power CSV")))
+    if reader.fieldnames is None or not {"vx", "vy", "vz", "power_w"} <= set(reader.fieldnames):
+        raise ValidationError(
+            f"{path}: power CSV must have header vx,vy,vz,power_w, got {reader.fieldnames}"
+        )
+    for lineno, row in enumerate(reader, start=2):
+        try:
+            vec = np.array([float(row["vx"]), float(row["vy"]), float(row["vz"])])
+            power = float(row["power_w"])
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}:{lineno}: malformed row ({exc})") from exc
+        if not all(math.isfinite(v) for v in (*vec, power)):
             raise ValidationError(
-                f"{path}: power CSV must have header vx,vy,vz,power_w, got {reader.fieldnames}"
+                f"{path}:{lineno}: vx, vy, vz and power_w must be finite, got "
+                f"{row['vx']},{row['vy']},{row['vz']},{row['power_w']}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                vec = np.array([float(row["vx"]), float(row["vy"]), float(row["vz"])])
-                power = float(row["power_w"])
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"{path}:{lineno}: malformed row ({exc})") from exc
-            if not all(math.isfinite(v) for v in (*vec, power)):
-                raise ValidationError(
-                    f"{path}:{lineno}: vx, vy, vz and power_w must be finite, got "
-                    f"{row['vx']},{row['vy']},{row['vz']},{row['power_w']}"
-                )
-            norm = np.linalg.norm(vec)
-            if norm == 0:
-                raise ValidationError(f"{path}:{lineno}: zero direction vector")
-            try:
-                samples.append(PowerSample(direction=vec / norm, power=power))
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+        norm = np.linalg.norm(vec)
+        if norm == 0:
+            raise ValidationError(f"{path}:{lineno}: zero direction vector")
+        try:
+            samples.append(PowerSample(direction=vec / norm, power=power))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     return samples

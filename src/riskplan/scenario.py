@@ -29,7 +29,6 @@ Where the rules live:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -48,7 +47,7 @@ from .environment import (
     SphereObstacle,
     _vec3,
 )
-from .errors import ValidationError
+from .errors import ValidationError, read_input
 from .moo import MooParams
 from .seeding import SeedingParams
 from .voting import RiskState
@@ -352,12 +351,7 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None, name: str = "sc
 
 
 def load_scenario(path) -> Scenario:
-    """Parse and validate a scenario JSON file."""
+    """Parse and validate a scenario JSON file (read by ``errors.read_input``)."""
     path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"scenario file not found: {path}")
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
+    data = read_input(path, "scenario", as_json=True)
     return scenario_from_dict(data, base_dir=path.parent, name=path.stem)

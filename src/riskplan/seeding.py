@@ -49,19 +49,15 @@ class SeedingParams:
 
 
 def _segment_clear(env: Environment, a: np.ndarray, b: np.ndarray, r_uav: float) -> bool:
-    """Straight segment stays at least r_uav from obstacles, checked at
-    half-voxel spacing."""
+    """Straight segment a-b (a point when a equals b) stays at least r_uav
+    from obstacles, checked at half-voxel spacing; a point outside the
+    field fails."""
     length = float(np.linalg.norm(b - a))
     spacing = env.sdf.resolution / 2.0
     n_checks = max(int(np.ceil(length / spacing)) + 1, 2)
     points = np.linspace(a, b, n_checks)
     clearance = env.clearance(points, out_of_range="nan")
     return bool(np.all(np.nan_to_num(clearance, nan=-1.0) >= r_uav))
-
-
-def _point_clear(env: Environment, p: np.ndarray, r_uav: float) -> bool:
-    c = env.clearance(p[None, :], out_of_range="nan")[0]
-    return bool(np.isfinite(c) and c >= r_uav)
 
 
 class _Tree:
@@ -155,9 +151,9 @@ def find_seed_path(
     """
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)
-    if not _point_clear(env, start, r_uav):
+    if not _segment_clear(env, start, start, r_uav):
         raise ValidationError(f"start {start.tolist()} is in collision (clearance < {r_uav})")
-    if not _point_clear(env, goal, r_uav):
+    if not _segment_clear(env, goal, goal, r_uav):
         raise ValidationError(f"goal {goal.tolist()} is in collision (clearance < {r_uav})")
 
     rng = np.random.default_rng(params.rng_seed)

@@ -191,12 +191,67 @@ class TestUnusableOutput:
         out = tmp_path / "grid.npz"
         out.mkdir()
         assert main(["sdf-dump", str(scenario_file), "--out", str(out)]) == 2
-        assert f"output file {out}: is a directory" in capsys.readouterr().err
+        assert f"output file {out}: Is a directory" in capsys.readouterr().err
 
     def test_sdf_dump_creates_missing_directory(self, scenario_file, tmp_path):
         out = tmp_path / "missing" / "deeper" / "grid.npz"
         assert main(["sdf-dump", str(scenario_file), "--out", str(out)]) == 0
         assert np.load(out)["distance"].ndim == 3
+
+
+def _unusable_file_cases():
+    """(command, file, kind): each input a command reads made missing, a
+    directory or not UTF-8, and each result file blocked by a directory."""
+    inputs = [
+        ("plan", "scenario"), ("sweep", "scenario"), ("sdf-dump", "scenario"),
+        ("plan", "calibration"), ("fit-power", "calibration"), ("vote", "front"),
+        ("sweep", "spec"),
+    ]
+    cases = [
+        pytest.param(command, name, kind, id=f"{command}-{name}-{kind}")
+        for command, name in inputs
+        for kind in ("missing", "directory", "not-utf8")
+    ]
+    results = [("plan", "pareto.json"), ("sweep", "sweep.csv"), ("fit-power", "power_model.json")]
+    cases += [pytest.param(command, name, "result", id=f"{command}-{name}") for command, name in results]
+    return cases
+
+
+@pytest.mark.parametrize("command, name, kind", _unusable_file_cases())
+def test_unusable_file_exits_2_naming_it(tmp_path, capsys, command, name, kind):
+    files = {
+        "scenario": tmp_path / "corridor.json",
+        "calibration": tmp_path / "power.csv",
+        "front": tmp_path / "pareto.json",
+        "spec": tmp_path / "spec.json",
+    }
+    out = tmp_path / "out"
+    write_power_csv(files["calibration"])
+    files["scenario"].write_text(json.dumps(corridor_scenario_dict(files["calibration"], n_gen=20)))
+    files["front"].write_text(json.dumps({"front": [member_entry(1.0)]}))
+    files["spec"].write_text(json.dumps({"kind": "risk", "axis": "wind", "step": 0.5}))
+    if kind == "result":
+        bad = out / name
+        bad.mkdir(parents=True)
+    else:
+        bad = files[name]
+        bad.unlink()
+        if kind == "directory":
+            bad.mkdir()
+        elif kind == "not-utf8":
+            bad.write_bytes(b"\xff\xfe not UTF-8\n")
+    args = {
+        "plan": ["plan", files["scenario"], "--out", out],
+        "sweep": ["sweep", files["scenario"], "--spec", files["spec"], "--out", out],
+        "sdf-dump": ["sdf-dump", files["scenario"], "--out", out / "grid.npz"],
+        "fit-power": ["fit-power", files["calibration"], "--out", out],
+        "vote": ["vote", files["front"], "--risks", "0,0,0,0"],
+    }[command]
+    assert main([str(a) for a in args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ")
+    assert str(bad) in err
+    assert "Traceback" not in err
 
 
 class TestVoteCommand:
@@ -427,6 +482,14 @@ class TestSdfDumpCommand:
         data = np.load(out)
         assert data["distance"].shape == tuple(data["dims"])
         assert data["resolution"] == 0.5
+
+    def test_writes_exactly_the_named_file(self, scenario_file, tmp_path, capsys):
+        # ``np.savez_compressed`` given this path would write ``field.npz``.
+        out = tmp_path / "field"
+        assert main(["sdf-dump", str(scenario_file), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.endswith(f"-> {out}\n")
+        assert not (tmp_path / "field.npz").exists()
+        assert np.load(out)["distance"].ndim == 3
 
     def test_tiny_resolution_exit_code(self, tmp_path, capsys):
         # A finite positive resolution passes the scenario check; its grid

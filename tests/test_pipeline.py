@@ -9,7 +9,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_corridor_scenario, write_power_csv
+from conftest import corridor_scenario_dict, make_corridor_scenario, write_power_csv
+from riskplan.cli import main
 from riskplan.costs import check_constraints
 import riskplan.moo as moo_mod
 import riskplan.nurbs as nurbs_mod
@@ -213,6 +214,10 @@ class TestFront:
         front, _ = load_front(tmp_path / "out" / "pareto.json")
         assert 0 <= vote(front, adjust_coefficients(RiskState(wind=1.0))) < len(front)
         assert len(sweep(scn, {"kind": "coefficients", "spacing": 0.1})) == 66
+        path = tmp_path / "corridor.json"
+        path.write_text(json.dumps(corridor_scenario_dict(tmp_path / "power.csv", n_gen=30)))
+        assert main(["plan", str(path), "--out", str(tmp_path / "cli")]) == 0
+        assert main(["vote", str(tmp_path / "cli" / "pareto.json"), "--risks", "1,0,0,0"]) == 0
         with pytest.raises(AssertionError, match="member object"):
             result.front[0]
 

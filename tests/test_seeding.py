@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import importlib
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,7 +15,10 @@ from riskplan.environment import (
     build_environment,
 )
 from riskplan.errors import PlanningFailureError, ValidationError
-from riskplan.moo import _layout_views, build_bounds, decision_arity
+from riskplan.moo import _layout_views, build_bounds, decision_arity, evaluate_batch
+from riskplan.pipeline import _prepare_run, build_scenario_environment
+from riskplan.power import fit_quadric, load_power_samples
+from riskplan.scenario import load_scenario, scenario_from_dict
 from riskplan.seeding import (
     build_feasible_seed,
     find_seed_path,
@@ -18,6 +26,9 @@ from riskplan.seeding import (
     polyline_to_decision_vector,
     resample_polyline,
 )
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def wall_with_gap_env():
@@ -193,3 +204,38 @@ class TestFeasibleSeedRepair:
         curve = decode(seed.decision, [2, 5, 5], [18, 5, 5], 1.0, 1.0, 3)
         report = check_constraints(sample_uniform(curve, 50), env, 2.2, 0.5)
         assert report.feasible
+
+
+class TestAcceptedSeedIsBatchFeasible:
+    """A seed that ``build_feasible_seed`` accepts is feasible by the rule
+    that scores the population: ``moo.evaluate_batch`` of its decision, in
+    the plan's own context from ``pipeline._prepare_run``, reads both
+    violations as exactly 0."""
+
+    @staticmethod
+    def batch_violations(scn, env, power):
+        seed, ctx, _, _ = _prepare_run(scn, env, power)
+        return evaluate_batch(seed.decision[None], ctx)[1][0].tolist()
+
+    @pytest.fixture(scope="class")
+    def corridor(self):
+        scn = load_scenario(ROOT / "scenarios" / "corridor.json")
+        power = fit_quadric(load_power_samples(scn.power_calibration))
+        return scn, build_scenario_environment(scn), power
+
+    @pytest.mark.parametrize("rng_seed", range(7, 17))
+    def test_corridor(self, corridor, rng_seed):
+        scn, env, power = corridor
+        assert self.batch_violations(replace(scn, rng_seed=rng_seed), env, power) == [0.0, 0.0]
+
+    def test_city_world_7(self):
+        perfbench = str(ROOT / "perfbench")
+        sys.path.insert(0, perfbench)
+        try:
+            city = importlib.import_module("city")
+        finally:
+            sys.path.remove(perfbench)
+        scn = scenario_from_dict(city.city_scenario(7)[0], base_dir=ROOT / "scenarios")
+        power = fit_quadric(load_power_samples(scn.power_calibration))
+        env = build_scenario_environment(scn)
+        assert self.batch_violations(scn, env, power) == [0.0, 0.0]

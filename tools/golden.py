@@ -33,9 +33,7 @@ The set:
   ``pareto.json``, ``trajectory.csv``, ``generations.csv``; ``samples``:
   the bytes of the plan's emitted sample planes (4, Q) of x, y, z and
   speed, its ``sample_times`` and its ``sample_powers``, at the full
-  precision that trajectory.csv rounds to ``.10g`` (a checkout whose
-  ``result.samples`` still has ``positions`` and ``speeds`` is read as
-  those planes); then each
+  precision that trajectory.csv rounds to ``.10g``; then each
   ``pareto.json`` read back with ``pipeline.load_front`` and re-voted at
   four fixed risk states (``revote``: one digest of the selected indices
   and the vote weights' floats); and ``members``: every member of the
@@ -118,11 +116,8 @@ def _members_digest(members) -> str:
 def _samples_digest(result) -> str:
     """sha256 of the bytes of a plan's emitted sample planes (4, Q), sample
     times and sample powers."""
-    samples = result.samples
-    if hasattr(samples, "positions"):  # a checkout that predates the planes
-        samples = np.vstack([samples.positions.T, samples.speeds])
     h = hashlib.sha256()
-    for arr in (samples, result.sample_times, result.sample_powers):
+    for arr in (result.samples, result.sample_times, result.sample_powers):
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
 
